@@ -5,7 +5,7 @@ GO ?= go
 # session: make fuzz-smoke FUZZTIME=5m
 FUZZTIME ?= 3s
 
-.PHONY: build vet lint lint-baseline test race-smoke fault-smoke fuzz-smoke golden-update bench bench-dist bench-smoke daemon-smoke dist-smoke dist-scale-smoke ci
+.PHONY: build vet lint lint-baseline test race-smoke fault-smoke fuzz-smoke golden-update bench bench-dist bench-smoke perfbench-smoke daemon-smoke dist-smoke dist-scale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,14 @@ bench-smoke:
 	$(GO) run ./cmd/bench -n 2 -scale 0.02 -repeat 2
 	$(GO) run ./cmd/bench -n 2 -scale 0.015 -matrix
 
+# perfbench-smoke runs the repository benchmark's paper-suite workload
+# briefly at a seed other than the default. Every pass is checked cell
+# by cell against fresh per-policy engines (perfbench/README.md), so a
+# suite whose scheduler workers reuse their lanes across workloads
+# fails here if a reset FanOut ever diverges from a fresh one.
+perfbench-smoke:
+	bash perfbench/run.sh --workload paper-suite --seed 9001 --seconds 2 --trace 0
+
 # daemon-smoke builds and starts ghrpd on an ephemeral port, submits one
 # tiny run over real HTTP, follows its SSE stream to completion, fetches
 # the result and figures, and drains cleanly — the build-start-serve-
@@ -124,4 +132,4 @@ dist-scale-smoke:
 	$(GO) build -o bin/ghrpd ./cmd/ghrpd
 	$(GO) run ./cmd/ghrpdist -scale-smoke -worker-cmd ./bin/ghrpd
 
-ci: build vet lint test race-smoke fuzz-smoke bench-smoke daemon-smoke dist-smoke dist-scale-smoke
+ci: build vet lint test race-smoke fuzz-smoke bench-smoke perfbench-smoke daemon-smoke dist-smoke dist-scale-smoke

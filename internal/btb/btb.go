@@ -59,7 +59,8 @@ type BTB struct {
 	pcs     []uint64
 	targets []uint64
 	valid   []uint64
-	// Cold state: efficiency bookkeeping, indexed like pcs.
+	// Cold state: efficiency bookkeeping, indexed like pcs; nil unless
+	// SetEffTracking(true) was called.
 	eff    []effTimes
 	policy cache.Policy
 	stats  Stats
@@ -90,6 +91,7 @@ func NewInArena(sets, ways int, instrBytes uint64, p cache.Policy, ar *cache.Are
 }
 
 // Init initializes b in place, carving hot arrays from ar when non-nil.
+// Efficiency tracking starts off; see SetEffTracking.
 func (b *BTB) Init(sets, ways int, instrBytes uint64, p cache.Policy, ar *cache.Arena) error {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		return fmt.Errorf("btb: sets %d must be a positive power of two", sets)
@@ -115,7 +117,6 @@ func (b *BTB) Init(sets, ways int, instrBytes uint64, p cache.Policy, ar *cache.
 		pcs:        cache.ArenaWords(ar, sets*ways),
 		targets:    cache.ArenaWords(ar, sets*ways),
 		valid:      cache.ArenaWords(ar, sets),
-		eff:        make([]effTimes, sets*ways),
 		policy:     p,
 	}
 	return nil
@@ -140,10 +141,11 @@ func (b *BTB) SetWarmup(on bool) { b.warmup = on }
 func (b *BTB) Stats() Stats { return b.stats }
 
 // SetEffTracking enables or disables per-entry efficiency bookkeeping.
-// It is on by default; callers that never read Efficiency (the fused
-// fan-out lanes) disable it to drop one cold-array write per access.
-// Disabling discards any accumulated times; Efficiency then reports
-// zeros. Replacement decisions and statistics are unaffected.
+// It is off by default, so callers that never read Efficiency (the
+// fused fan-out lanes) neither allocate the matrix nor pay one
+// cold-array write per access; enabling allocates it. Disabling
+// discards any accumulated times; Efficiency then reports zeros.
+// Replacement decisions and statistics are unaffected.
 func (b *BTB) SetEffTracking(on bool) {
 	switch {
 	case on && b.eff == nil:
@@ -314,21 +316,17 @@ func (b *BTB) Efficiency() [][]float64 {
 	return out
 }
 
-// Reset clears contents, statistics, and policy state.
+// Reset returns b to the state Init leaves it in — contents,
+// statistics, clock, warm-up mode and policy state — keeping its
+// arrays and its efficiency-tracking setting.
 func (b *BTB) Reset() {
-	for i := range b.pcs {
-		b.pcs[i] = 0
-		b.targets[i] = 0
-	}
-	for i := range b.valid {
-		b.valid[i] = 0
-	}
-	for i := range b.eff {
-		b.eff[i] = effTimes{}
-	}
+	clear(b.pcs)
+	clear(b.targets)
+	clear(b.valid)
+	clear(b.eff)
 	b.stats = Stats{}
 	b.now = 0
-	b.born = false
+	b.birth, b.born = 0, false
 	b.warmup = false
 	b.policy.Reset()
 }

@@ -135,6 +135,7 @@ func TestBTBReset(t *testing.T) {
 
 func TestBTBEfficiencyShape(t *testing.T) {
 	b := newBTB(t, 4, 2, policies.NewLRU())
+	b.SetEffTracking(true)
 	for i := 0; i < 100; i++ {
 		b.Access(0x1000, 0x2000)
 		b.Access(0x1010, 0x2000)

@@ -46,7 +46,9 @@ type Access struct {
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Attach binds the policy to the cache geometry before first use.
+	// Attach binds the policy to the cache geometry before first use:
+	// it allocates the per-frame state and then initializes it through
+	// Reset, so a fresh policy and a reset one cannot differ.
 	Attach(sets, ways int)
 	// OnHit records a hit at (a.Set, way).
 	OnHit(a Access, way int)
@@ -63,7 +65,7 @@ type Policy interface {
 	OnInsert(a Access, way int)
 	// OnEvict records eviction of evicted from (a.Set, way) to make room.
 	OnEvict(a Access, way int, evicted uint64)
-	// Reset clears all policy state.
+	// Reset returns the policy to the state Attach leaves it in.
 	Reset()
 }
 
@@ -115,7 +117,8 @@ type Cache struct {
 	// block). Both may be carved from a shared Arena.
 	tags  []uint64
 	valid []uint64
-	// Cold state: efficiency bookkeeping, indexed like tags.
+	// Cold state: efficiency bookkeeping, indexed like tags; nil unless
+	// SetEffTracking(true) was called.
 	eff    []effTimes
 	policy Policy
 	stats  Stats
@@ -148,6 +151,7 @@ func NewInArena(sets, ways int, p Policy, ar *Arena) (*Cache, error) {
 
 // Init initializes c in place (so callers can lay cache headers out
 // contiguously themselves), carving hot arrays from ar when non-nil.
+// Efficiency tracking starts off; see SetEffTracking.
 func (c *Cache) Init(sets, ways int, p Policy, ar *Arena) error {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: sets %d must be a positive power of two", sets)
@@ -164,7 +168,6 @@ func (c *Cache) Init(sets, ways int, p Policy, ar *Arena) error {
 		ways:   ways,
 		tags:   ar.take(sets * ways),
 		valid:  ar.take(sets),
-		eff:    make([]effTimes, sets*ways),
 		policy: p,
 	}
 	return nil
@@ -183,10 +186,11 @@ func (c *Cache) Policy() Policy { return c.policy }
 func (c *Cache) SetWarmup(on bool) { c.warmup = on }
 
 // SetEffTracking enables or disables per-frame efficiency bookkeeping.
-// It is on by default; callers that never read Efficiency (the fused
-// fan-out lanes) disable it to drop one cold-array write per access.
-// Disabling discards any accumulated times; Efficiency then reports
-// zeros. Replacement decisions and statistics are unaffected.
+// It is off by default, so callers that never read Efficiency (the
+// fused fan-out lanes) neither allocate the matrix nor pay one
+// cold-array write per access; enabling allocates it. Disabling
+// discards any accumulated times; Efficiency then reports zeros.
+// Replacement decisions and statistics are unaffected.
 func (c *Cache) SetEffTracking(on bool) {
 	switch {
 	case on && c.eff == nil:
@@ -378,20 +382,16 @@ func (c *Cache) MeanEfficiency() float64 {
 	return sum / float64(n)
 }
 
-// Reset clears cache contents, statistics, and policy state.
+// Reset returns c to the state Init leaves it in — contents,
+// statistics, clock, warm-up mode and policy state — keeping its
+// arrays and its efficiency-tracking setting.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	for i := range c.valid {
-		c.valid[i] = 0
-	}
-	for i := range c.eff {
-		c.eff[i] = effTimes{}
-	}
+	clear(c.tags)
+	clear(c.valid)
+	clear(c.eff)
 	c.stats = Stats{}
 	c.now = 0
-	c.born = false
+	c.birth, c.born = 0, false
 	c.warmup = false
 	c.policy.Reset()
 }

@@ -163,6 +163,7 @@ func TestEfficiency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetEffTracking(true)
 	// t=1 insert block 0; t=2..5 hit block 0; block 0 live 1..5.
 	for i := 0; i < 5; i++ {
 		c.Access(Access{Block: 0})
@@ -188,6 +189,7 @@ func TestEfficiencyDeadBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetEffTracking(true)
 	// Insert block 0 then never touch it again while time passes via
 	// block-1 bypasses... block 1 maps to same set (1 set); it evicts.
 	c.Access(Access{Block: 0}) // t=1 insert

@@ -66,7 +66,7 @@ func (p *ICachePolicy) Attach(sets, ways int) {
 	p.sets, p.ways = sets, ways
 	p.meta = make([]blockMeta, sets*ways)
 	p.last = make([]uint64, sets*ways)
-	p.now = 0
+	p.Reset()
 }
 
 func (p *ICachePolicy) touch(set, way int) {
@@ -233,12 +233,8 @@ func (p *ICachePolicy) OnInsert(a cache.Access, way int) {
 
 // Reset implements cache.Policy.
 func (p *ICachePolicy) Reset() {
-	for i := range p.meta {
-		p.meta[i] = blockMeta{}
-	}
-	for i := range p.last {
-		p.last[i] = 0
-	}
+	clear(p.meta)
+	clear(p.last)
 	p.now = 0
 	p.pred.Reset()
 	p.hist.Reset()

@@ -52,7 +52,8 @@ type decRec struct {
 
 // decChunk holds the decisions of up to chunkRecords records. push
 // copies the access list out of the front's scratch, so a filled chunk
-// is self-contained and safe to hand to another goroutine.
+// is self-contained and safe to hand to another goroutine. Chunks are
+// owned by a FanOut and reused by every replay it runs.
 type decChunk struct {
 	recs     []decRec
 	accesses []blockAccess
@@ -76,7 +77,7 @@ func (ch *decChunk) push(d *stepDecisions) {
 	var r decRec
 	r.accOff = uint32(len(ch.accesses))
 	r.accLen = uint32(len(d.accesses))
-	//ghrplint:ignore hotalloc chunk buffers keep their capacity across resets; a grow can happen only the first few chunks of a run (access lists denser than the 2x-records presize), after which pushes are allocation-free — TestStreamingAllocsBounded pins the steady state
+	//ghrplint:ignore hotalloc chunk buffers belong to the FanOut and keep their capacity across resets and across workloads; a grow can happen only in the first few chunks a FanOut fills (access lists denser than the 2x-records presize), after which pushes are allocation-free — TestStreamingAllocsBounded and TestRunReusesLanesAcrossWorkloads pin the steady state
 	ch.accesses = append(ch.accesses, d.accesses...)
 	if d.warm {
 		r.flags |= chunkWarm

@@ -100,8 +100,43 @@ type front struct {
 	dec      stepDecisions     // scratch: current record's decisions
 }
 
-func newFront(cfg Config, warmupLimit uint64) (*front, error) {
-	f := &front{cfg: cfg, warmupLimit: warmupLimit}
+// newSim builds the front and one lane per kind, all carving lane hot
+// state from one shared arena, and initializes them through resetSim.
+// NewEngine and NewFanOut both construct through it.
+func newSim(cfg Config, kinds []PolicyKind, warmupLimit uint64) (*front, []lane, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	f, err := newFront(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	ar := cache.NewArena(len(kinds) * laneHotWords(cfg))
+	lanes := make([]lane, len(kinds))
+	for i, kind := range kinds {
+		if err := lanes[i].init(cfg, kind, ar); err != nil {
+			return nil, nil, err
+		}
+	}
+	resetSim(f, lanes, warmupLimit)
+	return f, lanes, nil
+}
+
+// resetSim restores a front and its lanes to the state of a fresh
+// build for a replay under warmupLimit: every predictor, stack, cache,
+// BTB, policy, prefetch filter, counter and warm-up flag. Constructors
+// allocate and then initialize through it, so a reset simulator cannot
+// drift from a fresh one; TestFanOutResetMatchesFresh pins the
+// equality.
+func resetSim(f *front, lanes []lane, warmupLimit uint64) {
+	f.reset(warmupLimit)
+	for i := range lanes {
+		lanes[i].reset(f.warm)
+	}
+}
+
+func newFront(cfg Config) (*front, error) {
+	f := &front{cfg: cfg}
 	f.blockShift = shiftOf(uint64(cfg.ICache.BlockBytes))
 	f.instrShift = shiftOf(cfg.InstrBytes)
 	var err error
@@ -118,10 +153,23 @@ func newFront(cfg Config, warmupLimit uint64) (*front, error) {
 	if err != nil {
 		return nil, err
 	}
-	if warmupLimit > 0 {
-		f.warm = true
-	}
 	return f, nil
+}
+
+// reset restores the front's state for a replay under warmupLimit,
+// keeping its scratch capacity.
+func (f *front) reset(warmupLimit uint64) {
+	f.bpred.Reset()
+	f.ras.Reset()
+	f.ind.Reset()
+	f.fetcher.Reset()
+	f.warmupLimit = warmupLimit
+	f.warm = warmupLimit > 0
+	f.instrs, f.counted, f.records = 0, 0, 0
+	f.lastBlock, f.haveLast = 0, false
+	f.spans = f.spans[:0]
+	f.accesses = f.accesses[:0]
+	f.dec = stepDecisions{}
 }
 
 // decide advances the front by one branch record and fills d with the
@@ -273,20 +321,9 @@ func laneHotWords(cfg Config) int {
 		btb.HotWords(cfg.BTB.Sets(), cfg.BTB.Ways)
 }
 
-// newLanes builds one initialized lane per kind, all carving hot state
-// from a single shared arena.
-func newLanes(cfg Config, kinds []PolicyKind, warm bool) ([]lane, error) {
-	ar := cache.NewArena(len(kinds) * laneHotWords(cfg))
-	lanes := make([]lane, len(kinds))
-	for i, kind := range kinds {
-		if err := lanes[i].init(cfg, kind, warm, ar); err != nil {
-			return nil, err
-		}
-	}
-	return lanes, nil
-}
-
-func (l *lane) init(cfg Config, kind PolicyKind, warm bool, ar *cache.Arena) error {
+// init builds a lane's structures for kind, carving hot state from ar;
+// resetSim initializes them.
+func (l *lane) init(cfg Config, kind PolicyKind, ar *cache.Arena) error {
 	if kind >= numPolicies {
 		return fmt.Errorf("frontend: invalid policy kind %d", kind)
 	}
@@ -311,12 +348,23 @@ func (l *lane) init(cfg Config, kind PolicyKind, warm bool, ar *cache.Arena) err
 	if cfg.NextLinePrefetch {
 		l.pref = newPrefetchFilter()
 	}
-	if warm {
-		l.icache.SetWarmup(true)
-		l.ibtb.SetWarmup(true)
-	}
 	l.bindStep(icPolicy, btbPolicy)
 	return nil
+}
+
+// reset restores the lane's I-cache and BTB (each resetting its
+// policy; a GHRP lane's shared predictor resets with the I-cache
+// policy that owns it), prefetch filter and statistics, and enters
+// warm-up mode when warm is set.
+func (l *lane) reset(warm bool) {
+	l.icache.Reset()
+	l.ibtb.Reset()
+	if l.pref != nil {
+		l.pref.reset()
+	}
+	l.prefStats = PrefetchStats{}
+	l.icache.SetWarmup(warm)
+	l.ibtb.SetWarmup(warm)
 }
 
 func (l *lane) makeICachePolicy(cfg Config) (cache.Policy, error) {
@@ -456,18 +504,16 @@ type Engine struct {
 // replacement policy (applied to both the I-cache and BTB). warmupLimit
 // is the number of leading instructions excluded from statistics; use
 // WarmupFor to derive it from a trace length per the paper's rule.
+//
+// The engine tracks per-frame efficiency in its I-cache and BTB for
+// the heat maps (ICache().Efficiency(), BTB().Efficiency()).
 func NewEngine(cfg Config, kind PolicyKind, warmupLimit uint64) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	f, err := newFront(cfg, warmupLimit)
+	f, lanes, err := newSim(cfg, []PolicyKind{kind}, warmupLimit)
 	if err != nil {
 		return nil, err
 	}
-	lanes, err := newLanes(cfg, []PolicyKind{kind}, f.warm)
-	if err != nil {
-		return nil, err
-	}
+	lanes[0].icache.SetEffTracking(true)
+	lanes[0].ibtb.SetEffTracking(true)
 	return &Engine{front: f, lanes: lanes}, nil
 }
 

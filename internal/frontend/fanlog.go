@@ -18,10 +18,11 @@ import (
 // bit-identical for any worker count; TestFanOutParallelMatchesSerial
 // pins that.
 //
-// Memory is bounded by a free list of poolChunks chunks: the producer
-// blocks once all are in flight, and the last worker to finish a chunk
-// returns it. Lane subsets are contiguous stripes, so a worker's lanes
-// are adjacent in the lane slab.
+// Memory is bounded by a free list of poolChunks chunks, which the
+// FanOut keeps across replays: the producer blocks once all are in
+// flight, and the last worker to finish a chunk returns it. Lane
+// subsets are contiguous stripes, so a worker's lanes are adjacent in
+// the lane slab.
 
 // poolChunks bounds the chunks in flight between producer and workers.
 // Two keeps the producer a full chunk ahead of the slowest worker; a
@@ -42,8 +43,8 @@ func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uin
 	}
 
 	free := make(chan *decChunk, poolChunks)
-	for i := 0; i < poolChunks; i++ {
-		free <- newDecChunk()
+	for _, ch := range fo.chunkPool(poolChunks) {
+		free <- ch
 	}
 	// Per-worker queues sized to the pool, so publishing never blocks on
 	// a queue: at most poolChunks chunks exist.
@@ -85,32 +86,41 @@ func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uin
 	if every == 0 {
 		every = DefaultProgressEvery
 	}
-	ch := <-free
-	ch.reset()
-	var n uint64
-	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
-		fo.front.decide(r, &fo.front.dec)
-		ch.push(&fo.front.dec)
-		if ch.full() {
-			publish(ch)
-			ch = <-free
-			ch.reset()
-		}
-		if opts.Progress != nil {
-			n++
-			if n%every == 0 {
-				return opts.Progress(n, fo.front.instrs)
+	err := func() error {
+		// However the producer stops — stream done, aborted by Progress,
+		// or panicking — the workers drain every published chunk and exit
+		// before the FanOut is used again, so no goroutine is still
+		// replaying a lane when the caller reads results or resets it.
+		defer func() {
+			for _, q := range queues {
+				close(q)
 			}
+			wg.Wait()
+		}()
+		ch := <-free
+		ch.reset()
+		var n uint64
+		_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
+			fo.front.decide(r, &fo.front.dec)
+			ch.push(&fo.front.dec)
+			if ch.full() {
+				publish(ch)
+				ch = <-free
+				ch.reset()
+			}
+			if opts.Progress != nil {
+				n++
+				if n%every == 0 {
+					return opts.Progress(n, fo.front.instrs)
+				}
+			}
+			return nil
+		})
+		if err == nil && !ch.empty() {
+			publish(ch)
 		}
-		return nil
-	})
-	if err == nil && !ch.empty() {
-		publish(ch)
-	}
-	for _, q := range queues {
-		close(q)
-	}
-	wg.Wait()
+		return err
+	}()
 	if err != nil {
 		return nil, err
 	}
@@ -119,8 +129,8 @@ func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uin
 
 // SimulateFanOutSplit is SimulateFanOut with intra-workload
 // parallelism: one interpreter/front pass feeds every policy lane, and
-// lane replay is spread over up to workers goroutines. Results are
-// bit-identical to SimulateFanOut's.
+// lane replay is spread over up to workers goroutines, on a fresh
+// FanOut. Results are bit-identical to SimulateFanOut's.
 func SimulateFanOutSplit(cfg Config, kinds []PolicyKind, prog *workload.Program, seed, target, warmupLimit uint64, workers int, opts StreamOptions) ([]Result, error) {
 	fo, err := NewFanOut(cfg, kinds, warmupLimit)
 	if err != nil {

@@ -18,40 +18,53 @@ import (
 // Engine, and lanes never observe each other; the fused replay is
 // therefore bit-identical to N independent per-policy replays of the
 // same stream. TestFanOutMatchesPerPolicy pins this contract.
+//
+// A FanOut is reusable: Reset returns it to the state NewFanOut leaves
+// it in, so one FanOut can replay workload after workload without
+// reallocating its lanes, front or decision chunks.
 type FanOut struct {
 	front *front
 	lanes []lane
+	// chunks holds the decision chunks the streaming replays fill
+	// (chunk.go): the serial path uses the first, the parallel path up
+	// to poolChunks. They are allocated on first use and live as long
+	// as the FanOut; every replay resets the chunks it takes.
+	chunks []*decChunk
 }
 
 // NewFanOut builds a fused simulator driving one lane per element of
 // kinds (duplicates allowed — each gets an independent lane). The
 // warm-up limit applies to all lanes, exactly as it would to N separate
-// engines built with the same limit.
+// engines built with the same limit. Fan-out lanes do not track cache
+// efficiency (only Engine's heat maps read it).
 func NewFanOut(cfg Config, kinds []PolicyKind, warmupLimit uint64) (*FanOut, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if len(kinds) == 0 {
 		return nil, fmt.Errorf("frontend: fan-out needs at least one policy")
 	}
-	f, err := newFront(cfg, warmupLimit)
+	f, lanes, err := newSim(cfg, kinds, warmupLimit)
 	if err != nil {
 		return nil, err
-	}
-	lanes, err := newLanes(cfg, kinds, f.warm)
-	if err != nil {
-		return nil, err
-	}
-	// Fan-out results never expose efficiency matrices (only Engine's
-	// heat-map path reads them), so the per-access efficiency writes —
-	// one random cold-line touch per lane per access — are dead work
-	// here. Replacement decisions and Results are unaffected, so the
-	// bit-identity contract with standalone engines holds.
-	for i := range lanes {
-		lanes[i].icache.SetEffTracking(false)
-		lanes[i].ibtb.SetEffTracking(false)
 	}
 	return &FanOut{front: f, lanes: lanes}, nil
+}
+
+// Reset restores the fan-out to the state NewFanOut leaves it in —
+// every predictor, stack, cache, BTB, policy, prefetch filter, counter
+// and the warm-up flag — with warmupLimit as the new warm-up window.
+// A replay after Reset is bit-identical to one on a freshly built
+// FanOut, whatever the previous replay did, including one aborted by a
+// Progress error.
+func (fo *FanOut) Reset(warmupLimit uint64) {
+	resetSim(fo.front, fo.lanes, warmupLimit)
+}
+
+// chunkPool returns n decision chunks, allocating any this FanOut does
+// not hold yet.
+func (fo *FanOut) chunkPool(n int) []*decChunk {
+	for len(fo.chunks) < n {
+		fo.chunks = append(fo.chunks, newDecChunk())
+	}
+	return fo.chunks[:n]
 }
 
 // Process consumes one branch record, advancing every lane.
@@ -88,7 +101,8 @@ func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, opt
 	if every == 0 {
 		every = DefaultProgressEvery
 	}
-	ch := newDecChunk()
+	ch := fo.chunkPool(1)[0]
+	ch.reset()
 	var n uint64
 	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
 		fo.front.decide(r, &fo.front.dec)
@@ -117,9 +131,9 @@ func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, opt
 }
 
 // SimulateFanOut executes a workload program once and replays it under
-// every given policy in lockstep. It returns one Result per kind, each
-// bit-identical to what SimulateProgramStream would produce for that
-// kind alone with the same warm-up limit.
+// every given policy in lockstep on a fresh FanOut. It returns one
+// Result per kind, each bit-identical to what SimulateProgramStream
+// would produce for that kind alone with the same warm-up limit.
 func SimulateFanOut(cfg Config, kinds []PolicyKind, prog *workload.Program, seed, target, warmupLimit uint64, opts StreamOptions) ([]Result, error) {
 	fo, err := NewFanOut(cfg, kinds, warmupLimit)
 	if err != nil {

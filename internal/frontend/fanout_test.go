@@ -1,8 +1,11 @@
 package frontend
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
+	"ghrpsim/internal/core"
 	"ghrpsim/internal/workload"
 )
 
@@ -112,5 +115,109 @@ func TestFanOutRejectsBadInputs(t *testing.T) {
 	bad.ICache.SizeBytes = 0
 	if _, err := NewFanOut(bad, []PolicyKind{PolicyLRU}, 0); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestFanOutResetMatchesFresh is the reuse contract the suite scheduler
+// relies on: a FanOut that replayed one program — to completion, or
+// aborted mid-chunk by a Progress error — and was then Reset must replay
+// a second program bit-identically to a freshly built FanOut, on both
+// the serial and the parallel stream path, whatever warm-up limit the
+// Reset installs.
+func TestFanOutResetMatchesFresh(t *testing.T) {
+	progA := fanOutProgram(t)
+	progB, err := workload.Generate(testProfile(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const targetA, targetB = 200_000, 120_000
+	// abortAt lands inside the second chunk, so the aborted replay has
+	// advanced every lane through one chunk and left another half full.
+	const abortAt = chunkRecords + chunkRecords/2
+	errAbort := errors.New("abort")
+
+	type variant struct {
+		name string
+		cfg  Config
+	}
+	var variants []variant
+	for _, wp := range []WrongPathMode{WrongPathOff, WrongPathInject, WrongPathNoRecover} {
+		for _, prefetch := range []bool{false, true} {
+			cfg := smallConfig()
+			cfg.WrongPath = wp
+			cfg.NextLinePrefetch = prefetch
+			variants = append(variants, variant{fmt.Sprintf("wrongpath%d/prefetch=%v", wp, prefetch), cfg})
+		}
+	}
+	tuned := smallConfig()
+	tuned.WrongPath = WrongPathInject
+	// Small tables, eager dead training and a frequent bypass escape make
+	// GHRP bypass on program B, so the reset of its escape counter shows.
+	tuned.GHRP = core.Config{TableBits: 8, HistoryBits: 12, ShiftPerAccess: 3, PCBitsPerAccess: 2,
+		Aggregation: core.Summation, DeadTraining: core.TrainAllEvictions, BypassEscapeShift: 2}
+	variants = append(variants, variant{"ghrp-tuned", tuned})
+
+	kinds := ExtendedPolicies()
+	stream := func(fo *FanOut, parallel bool, prog *workload.Program, target uint64, opts StreamOptions) ([]Result, error) {
+		if parallel {
+			return fo.StreamProgramParallel(prog, 1, target, 3, opts)
+		}
+		return fo.StreamProgram(prog, 1, target, opts)
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			totalA, recordsA, err := CountProgram(v.cfg, progA, 1, targetA, StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recordsA <= abortAt {
+				t.Fatalf("program A has %d records; the abort at %d would not fire", recordsA, abortAt)
+			}
+			totalB, _, err := CountProgram(v.cfg, progB, 1, targetB, StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, warmB := range []uint64{0, v.cfg.WarmupFor(totalB)} {
+				for _, parallel := range []bool{false, true} {
+					fresh, err := NewFanOut(v.cfg, kinds, warmB)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := stream(fresh, parallel, progB, targetB, StreamOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, abort := range []bool{false, true} {
+						fo, err := NewFanOut(v.cfg, kinds, v.cfg.WarmupFor(totalA))
+						if err != nil {
+							t.Fatal(err)
+						}
+						var optsA StreamOptions
+						if abort {
+							optsA = StreamOptions{ProgressEvery: 512, Progress: func(records, _ uint64) error {
+								if records >= abortAt {
+									return errAbort
+								}
+								return nil
+							}}
+						}
+						if _, err := stream(fo, parallel, progA, targetA, optsA); (err != nil) != abort || (abort && !errors.Is(err, errAbort)) {
+							t.Fatalf("replay of A (abort=%v): err = %v", abort, err)
+						}
+						fo.Reset(warmB)
+						got, err := stream(fo, parallel, progB, targetB, StreamOptions{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Errorf("warm=%d parallel=%v abort=%v %v: reset FanOut diverges from fresh:\n reset: %+v\n fresh: %+v",
+									warmB, parallel, abort, kinds[i], got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

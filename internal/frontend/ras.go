@@ -77,6 +77,7 @@ func (r *RAS) ResetStats() { r.stats = RASStats{} }
 
 // Reset clears everything.
 func (r *RAS) Reset() {
+	clear(r.entries)
 	r.top, r.depth = 0, 0
 	r.stats = RASStats{}
 }

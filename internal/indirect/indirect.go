@@ -217,13 +217,9 @@ func (p *Predictor) ResetStats() { p.stats = Stats{} }
 
 // Reset clears everything.
 func (p *Predictor) Reset() {
-	for i := range p.base {
-		p.base[i] = baseEntry{}
-	}
+	clear(p.base)
 	for t := range p.tagged {
-		for i := range p.tagged[t] {
-			p.tagged[t][i] = taggedEntry{}
-		}
+		clear(p.tagged[t])
 	}
 	p.ghist = 0
 	p.stats = Stats{}

@@ -238,9 +238,7 @@ func (p *Predictor) ResetStats() { p.stats = Stats{} }
 
 // Reset clears weights, histories and statistics.
 func (p *Predictor) Reset() {
-	for i := range p.weights {
-		p.weights[i] = 0
-	}
+	clear(p.weights)
 	p.ghr, p.path = 0, 0
 	p.stats = Stats{}
 }

@@ -21,10 +21,11 @@ type recency struct {
 	now  uint64
 }
 
+// attach allocates per-frame state; the owning policy's Reset
+// initializes it.
 func (r *recency) attach(sets, ways int) {
 	r.ways = ways
 	r.last = make([]uint64, sets*ways)
-	r.now = 0
 }
 
 func (r *recency) touch(set, way int) {
@@ -58,9 +59,7 @@ func (r *recency) stackPos(set, way int) int {
 }
 
 func (r *recency) reset() {
-	for i := range r.last {
-		r.last[i] = 0
-	}
+	clear(r.last)
 	r.now = 0
 }
 

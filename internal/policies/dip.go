@@ -62,8 +62,7 @@ func (p *DIP) Name() string { return "DIP" }
 func (p *DIP) Attach(sets, ways int) {
 	p.sets, p.ways = sets, ways
 	p.rec.attach(sets, ways)
-	p.psel = p.pselMax / 2
-	p.tick = 0
+	p.Reset()
 }
 
 // setKind classifies a set: 0 = LRU leader, 1 = BIP leader, 2 = follower.

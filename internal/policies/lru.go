@@ -16,7 +16,10 @@ func NewLRU() *LRU { return &LRU{} }
 func (p *LRU) Name() string { return "LRU" }
 
 // Attach implements cache.Policy.
-func (p *LRU) Attach(sets, ways int) { p.rec.attach(sets, ways) }
+func (p *LRU) Attach(sets, ways int) {
+	p.rec.attach(sets, ways)
+	p.Reset()
+}
 
 // OnHit implements cache.Policy.
 func (p *LRU) OnHit(a cache.Access, way int) { p.rec.touch(a.Set, way) }
@@ -52,7 +55,7 @@ func (p *FIFO) Name() string { return "FIFO" }
 func (p *FIFO) Attach(sets, ways int) {
 	p.ways = ways
 	p.inserted = make([]uint64, sets*ways)
-	p.now = 0
+	p.Reset()
 }
 
 // OnHit implements cache.Policy. Hits do not affect FIFO order.
@@ -81,9 +84,7 @@ func (p *FIFO) OnEvict(a cache.Access, way int, evicted uint64) {}
 
 // Reset implements cache.Policy.
 func (p *FIFO) Reset() {
-	for i := range p.inserted {
-		p.inserted[i] = 0
-	}
+	clear(p.inserted)
 	p.now = 0
 }
 
@@ -96,13 +97,16 @@ type Random struct {
 }
 
 // NewRandom returns a Random policy seeded deterministically.
-func NewRandom(seed uint64) *Random { return &Random{rng: newXorshift(seed), sed: seed} }
+func NewRandom(seed uint64) *Random { return &Random{sed: seed} }
 
 // Name implements cache.Policy.
 func (p *Random) Name() string { return "Random" }
 
 // Attach implements cache.Policy.
-func (p *Random) Attach(sets, ways int) { p.wys = ways }
+func (p *Random) Attach(sets, ways int) {
+	p.wys = ways
+	p.Reset()
+}
 
 // OnHit implements cache.Policy.
 func (p *Random) OnHit(a cache.Access, way int) {}

@@ -93,6 +93,7 @@ func (p *SDBP) Attach(sets, ways int) {
 	p.pred = make([]bool, sets*ways)
 	p.smp = make([]samplerEntry, sets*ways)
 	p.smpRec.attach(sets, ways)
+	p.Reset()
 }
 
 // signature derives the 12-bit partial-PC trace signature.
@@ -225,16 +226,10 @@ func (p *SDBP) OnEvict(a cache.Access, way int, evicted uint64) {}
 func (p *SDBP) Reset() {
 	p.rec.reset()
 	p.smpRec.reset()
-	for i := range p.pred {
-		p.pred[i] = false
-	}
-	for i := range p.smp {
-		p.smp[i] = samplerEntry{}
-	}
+	clear(p.pred)
+	clear(p.smp)
 	for t := range p.tables {
-		for i := range p.tables[t] {
-			p.tables[t][i] = 0
-		}
+		clear(p.tables[t])
 	}
 }
 

@@ -84,10 +84,8 @@ func (p *SHiP) Name() string { return "SHiP" }
 func (p *SHiP) Attach(sets, ways int) {
 	p.ways = ways
 	p.rrpv = make([]uint8, sets*ways)
-	for i := range p.rrpv {
-		p.rrpv[i] = p.max
-	}
 	p.meta = make([]shipMeta, sets*ways)
+	p.Reset()
 }
 
 // signature hashes the accessing PC into an SHCT index.
@@ -160,12 +158,8 @@ func (p *SHiP) Reset() {
 	for i := range p.rrpv {
 		p.rrpv[i] = p.max
 	}
-	for i := range p.meta {
-		p.meta[i] = shipMeta{}
-	}
-	for i := range p.shct {
-		p.shct[i] = 0
-	}
+	clear(p.meta)
+	clear(p.shct)
 }
 
 // SHCTCounter exposes a signature's counter for tests and diagnostics.

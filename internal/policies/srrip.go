@@ -40,9 +40,7 @@ func (p *SRRIP) Name() string { return "SRRIP" }
 func (p *SRRIP) Attach(sets, ways int) {
 	p.ways = ways
 	p.rrpv = make([]uint8, sets*ways)
-	for i := range p.rrpv {
-		p.rrpv[i] = p.max
-	}
+	p.Reset()
 }
 
 // OnHit implements cache.Policy: hit-priority promotion to RRPV 0.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,15 +53,17 @@ type Options struct {
 	// Scale multiplies each workload's default instruction budget;
 	// defaults to 1.0.
 	Scale float64
-	// Parallelism bounds concurrent simulation tasks. Each workload is
-	// one task: its program is executed once and the record stream drives
-	// every uncached policy lane in lockstep (frontend.SimulateFanOut),
-	// so adding policies costs policy work, not extra executor passes.
-	// When the suite has fewer workloads than Parallelism, the surplus is
-	// spent inside each task: lane replay splits across
-	// Parallelism/tasks goroutines (frontend.SimulateFanOutSplit), so a
-	// few long workloads still use the whole machine. Results are
-	// bit-identical at any setting. Defaults to GOMAXPROCS.
+	// Parallelism bounds concurrent simulation tasks: it is the number of
+	// scheduler workers. Each workload is one task: its program is
+	// executed once and the record stream drives every uncached policy
+	// lane in lockstep through the worker's frontend.FanOut, which the
+	// worker resets and reuses from task to task, so adding policies
+	// costs policy work, not extra executor passes. When the suite has
+	// fewer workloads than Parallelism, the surplus is spent inside each
+	// task: lane replay splits across Parallelism/tasks goroutines
+	// (FanOut.StreamProgramParallel), so a few long workloads still use
+	// the whole machine. Results are bit-identical at any setting.
+	// Defaults to GOMAXPROCS.
 	Parallelism int
 	// ExecSeed seeds workload execution (fixed across policies so every
 	// policy replays the identical trace). The zero value means "unset"
@@ -288,15 +291,46 @@ type runState struct {
 	observe obs.Observer
 	// laneWorkers is the per-task lane-replay width: the parallelism
 	// left over after one worker per workload has been provisioned.
-	// Above one, fused replays run through SimulateFanOutSplit.
+	// Above one, fused replays split lane replay across goroutines
+	// (FanOut.StreamProgramParallel).
 	laneWorkers int
 }
 
+// laneSet is one scheduler worker's simulator, reused across the tasks
+// the worker runs: a paper-roster FanOut is about 1.5 MB of lanes and
+// decision chunks, and for the suite's short workloads building it and
+// collecting it cost more than the replay itself. Only the worker's
+// goroutine touches it.
+type laneSet struct {
+	fo    *frontend.FanOut
+	kinds []frontend.PolicyKind
+}
+
+// fanOut returns a FanOut for kinds in its freshly built state with
+// warm-up limit warm. The worker's FanOut is reset and reused when it
+// drives the same kinds as the previous task, and rebuilt otherwise.
+// It is reset before every use, so a replay aborted by an error, panic
+// or cancellation never leaks state into the next one.
+func (ls *laneSet) fanOut(cfg frontend.Config, kinds []frontend.PolicyKind, warm uint64) (*frontend.FanOut, error) {
+	if ls.fo != nil && slices.Equal(ls.kinds, kinds) {
+		ls.fo.Reset(warm)
+		return ls.fo, nil
+	}
+	fo, err := frontend.NewFanOut(cfg, kinds, warm)
+	if err != nil {
+		return nil, err
+	}
+	ls.fo, ls.kinds = fo, kinds
+	return fo, nil
+}
+
 // RunContext simulates every workload under every policy. The schedule
-// is a queue of workload tasks drained by Options.Parallelism workers.
-// Each task executes its workload's program exactly once and feeds the
+// is a queue of workload tasks drained by Options.Parallelism workers,
+// each owning one frontend.FanOut that it resets and reuses across its
+// tasks (rebuilt only when the set of uncached policies changes). Each
+// task executes its workload's program exactly once and feeds the
 // record stream to every policy the result cache could not answer in
-// lockstep (frontend.SimulateFanOut), so executor interpretation costs
+// lockstep through that FanOut, so executor interpretation costs
 // 1× per workload instead of once per policy plus the counting
 // pre-pass — and the pre-pass itself is memoized in the result cache.
 // Cache hits stay per-cell: a cell served from disk is reported via
@@ -382,10 +416,11 @@ func RunContext(ctx context.Context, opts Options) (*Measurements, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var ls laneSet
 			for t := range tasks {
 				err := ctx.Err()
 				if err == nil {
-					err = r.runTaskRetrying(ctx, t)
+					err = r.runTaskRetrying(ctx, t, &ls)
 				}
 				r.finishTask(ctx, t.wi, err)
 			}
@@ -515,14 +550,14 @@ func (w *taskWatch) fault(err error) error {
 // obs.TaskRetry event; a cancelled run context stops the loop. Cells
 // completed by an earlier attempt (recorded before a transient cache
 // failure, say) are skipped by the retry, which fuses the remainder.
-func (r *runState) runTaskRetrying(ctx context.Context, t task) error {
+func (r *runState) runTaskRetrying(ctx context.Context, t task, ls *laneSet) error {
 	opts := r.opts
 	maxRetries := opts.MaxRetries
 	if maxRetries < 0 {
 		maxRetries = 0
 	}
 	for attempt := 0; ; attempt++ {
-		err := r.runTaskSafe(ctx, t)
+		err := r.runTaskSafe(ctx, t, ls)
 		if err == nil || !IsRetryable(err) || attempt >= maxRetries || ctx.Err() != nil {
 			return err
 		}
@@ -546,20 +581,21 @@ func (r *runState) runTaskRetrying(ctx context.Context, t task) error {
 // runTaskSafe contains one task attempt's panics: a panicking replay
 // (or injected panic) becomes a PanicError carrying the goroutine
 // stack, failing that workload while the rest of the queue drains.
-func (r *runState) runTaskSafe(ctx context.Context, t task) (err error) {
+func (r *runState) runTaskSafe(ctx context.Context, t task, ls *laneSet) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return r.runTask(ctx, t)
+	return r.runTask(ctx, t, ls)
 }
 
 // runTask executes one workload task: per-cell result-cache lookups,
 // prep (program generation + memoized counting pre-pass), one fused
-// replay of every cell the cache could not answer, and per-cell cache
-// fills. Cells completed by an earlier attempt of this task are skipped.
-func (r *runState) runTask(ctx context.Context, t task) error {
+// replay of every cell the cache could not answer on the worker's
+// FanOut, and per-cell cache fills. Cells completed by an earlier
+// attempt of this task are skipped.
+func (r *runState) runTask(ctx context.Context, t task, ls *laneSet) error {
 	opts := r.opts
 	st := &r.states[t.wi]
 	spec := r.out.Specs[t.wi]
@@ -685,13 +721,11 @@ func (r *runState) runTask(ctx context.Context, t task) error {
 			return nil
 		},
 	}
-	var results []frontend.Result
-	var err error
-	if r.laneWorkers > 1 && len(missing) > 1 {
-		results, err = frontend.SimulateFanOutSplit(opts.Config, kinds, st.prog, opts.ExecSeed, target, st.warm, r.laneWorkers, so)
-	} else {
-		results, err = frontend.SimulateFanOut(opts.Config, kinds, st.prog, opts.ExecSeed, target, st.warm, so)
+	fo, err := ls.fanOut(opts.Config, kinds, st.warm)
+	if err != nil {
+		return err
 	}
+	results, err := fo.StreamProgramParallel(st.prog, opts.ExecSeed, target, r.laneWorkers, so)
 	if err != nil {
 		return w.fault(err)
 	}
