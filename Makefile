@@ -5,13 +5,18 @@ GO ?= go
 # session: make fuzz-smoke FUZZTIME=5m
 FUZZTIME ?= 3s
 
-.PHONY: build vet lint lint-baseline test race-smoke fault-smoke fuzz-smoke golden-update bench bench-dist bench-smoke perfbench-smoke daemon-smoke dist-smoke dist-scale-smoke ci
+.PHONY: build vet fmt-check lint lint-baseline test race-smoke fault-smoke fuzz-smoke golden-update bench bench-dist bench-smoke perfbench-smoke daemon-smoke dist-smoke dist-scale-smoke ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file in the tree is not gofmt-formatted,
+# listing the offending files.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs ghrplint, the in-tree interprocedural analyzer suite
 # (DESIGN.md "Static analysis"): wall-clock reads in deterministic
@@ -132,4 +137,4 @@ dist-scale-smoke:
 	$(GO) build -o bin/ghrpd ./cmd/ghrpd
 	$(GO) run ./cmd/ghrpdist -scale-smoke -worker-cmd ./bin/ghrpd
 
-ci: build vet lint test race-smoke fuzz-smoke bench-smoke perfbench-smoke daemon-smoke dist-smoke dist-scale-smoke
+ci: build vet fmt-check lint test race-smoke fuzz-smoke bench-smoke perfbench-smoke daemon-smoke dist-smoke dist-scale-smoke

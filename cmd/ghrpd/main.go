@@ -91,6 +91,10 @@ func main() {
 		},
 	})
 
+	// Install the handler before announcing: a spawner may signal as
+	// soon as it has read the URL.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Fatal(err)
@@ -114,8 +118,6 @@ func main() {
 		return
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		logger.Fatal(err)

@@ -32,9 +32,8 @@ type Executor struct {
 	target   uint64
 	burstMin int
 	burstMax int
-	taskCap  uint64
-	tripLeft []int // per global block: remaining taken iterations
-	blockOff []int // function index -> global block offset
+	tripUsed []int32 // per global block: loop iterations taken so far
+	blockOff []int   // function index -> global block offset
 	stack    []retAddr
 	err      error
 }
@@ -57,20 +56,11 @@ func NewExecutor(p *Program, seed uint64, emit func(trace.Record) error) (*Execu
 	if x.burstMax < x.burstMin {
 		x.burstMax = x.burstMin
 	}
-	x.taskCap = defaultTaskCap
 	x.blockOff = make([]int, len(p.Funcs)+1)
 	for fi := range p.Funcs {
 		x.blockOff[fi+1] = x.blockOff[fi] + len(p.Funcs[fi].Blocks)
 	}
-	x.tripLeft = make([]int, x.blockOff[len(p.Funcs)])
-	for fi := range p.Funcs {
-		for bi := range p.Funcs[fi].Blocks {
-			b := &p.Funcs[fi].Blocks[bi]
-			if b.TripCount > 0 {
-				x.tripLeft[x.blockOff[fi]+bi] = b.TripCount
-			}
-		}
-	}
+	x.tripUsed = make([]int32, x.blockOff[len(p.Funcs)])
 	return x, nil
 }
 
@@ -155,7 +145,7 @@ func (x *Executor) exec(fn int, retTo uint64) bool {
 		// Task cap: fast-forward to this function's return block so the
 		// record stream stays control-flow consistent while the task
 		// unwinds.
-		if x.instrs-taskStart > x.taskCap && b.Term != TermReturn {
+		if x.instrs-taskStart > defaultTaskCap && b.Term != TermReturn {
 			ret := len(f.Blocks) - 1
 			for ri := range f.Blocks {
 				if f.Blocks[ri].Term == TermReturn {
@@ -201,7 +191,8 @@ func (x *Executor) exec(fn int, retTo uint64) bool {
 			callee := b.Callee
 			ctype := trace.DirectCall
 			if b.Term == TermIndirectCall {
-				callee = b.Callees[x.rng.intn(len(b.Callees))]
+				cs := x.prog.CalleeSets[b.Callee]
+				callee = cs[x.rng.intn(len(cs))]
 				ctype = trace.IndirectCall
 			}
 			if len(x.stack) >= maxCallDepth {
@@ -231,16 +222,16 @@ func (x *Executor) exec(fn int, retTo uint64) bool {
 	}
 }
 
-// condTaken resolves a conditional branch: counted loops count down
-// their trip counter; probabilistic branches sample their bias.
+// condTaken resolves a conditional branch: a counted loop is taken
+// TripCount times, then not taken once; others sample their bias.
 func (x *Executor) condTaken(fn, blk int, b *Block) bool {
 	if b.TripCount > 0 {
 		gi := x.blockOff[fn] + blk
-		if x.tripLeft[gi] > 0 {
-			x.tripLeft[gi]--
+		if int(x.tripUsed[gi]) < b.TripCount {
+			x.tripUsed[gi]++
 			return true
 		}
-		x.tripLeft[gi] = b.TripCount
+		x.tripUsed[gi] = 0
 		return false
 	}
 	return x.rng.float() < b.Bias

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"ghrpsim/internal/trace"
@@ -46,7 +47,6 @@ func TestProgramValidateRejections(t *testing.T) {
 			InitFunc:     -1,
 			DispatchAddr: codeBase,
 			Funcs: []Function{{
-				Name: "f",
 				Blocks: []Block{
 					{Addr: 0x1000, Instrs: 4, Term: TermFall},
 					{Addr: 0x1010, Instrs: 4, Term: TermReturn},
@@ -78,15 +78,26 @@ func TestProgramValidateRejections(t *testing.T) {
 		}},
 		{"indirect no callees", func(p *Program) {
 			p.Funcs[0].Blocks[0].Term = TermIndirectCall
+			p.CalleeSets = [][]int{{}}
 		}},
 		{"indirect callee range", func(p *Program) {
 			p.Funcs[0].Blocks[0].Term = TermIndirectCall
-			p.Funcs[0].Blocks[0].Callees = []int{42}
+			p.CalleeSets = [][]int{{42}}
+		}},
+		{"indirect set range", func(p *Program) {
+			p.Funcs[0].Blocks[0].Term = TermIndirectCall
+			p.Funcs[0].Blocks[0].Callee = 1
+			p.CalleeSets = [][]int{{0}}
 		}},
 		{"indirect at end", func(p *Program) {
 			p.Funcs[0].Blocks[1].Term = TermIndirectCall
-			p.Funcs[0].Blocks[1].Callees = []int{0}
+			p.CalleeSets = [][]int{{0}}
 			p.Funcs[0].Blocks[0].Term = TermReturn
+		}},
+		{"trip count range", func(p *Program) {
+			p.Funcs[0].Blocks[0].Term = TermCond
+			p.Funcs[0].Blocks[0].Target = 0
+			p.Funcs[0].Blocks[0].TripCount = math.MaxInt32 + 1
 		}},
 		{"no return", func(p *Program) { p.Funcs[0].Blocks[1].Term = TermJump; p.Funcs[0].Blocks[1].Target = 0 }},
 		{"bad terminator", func(p *Program) { p.Funcs[0].Blocks[0].Term = TermKind(99) }},
@@ -101,6 +112,14 @@ func TestProgramValidateRejections(t *testing.T) {
 			tc.mutate(p)
 			if err := p.Validate(); err == nil {
 				t.Error("invalid program validated")
+			}
+			// Execution validates too: a bad program is an error, never
+			// a panic or a run.
+			if _, err := NewExecutor(p, 1, func(trace.Record) error { return nil }); err == nil {
+				t.Error("NewExecutor accepted an invalid program")
+			}
+			if _, err := Emit(p, 1, 1000, func(trace.Record) error { return nil }); err == nil {
+				t.Error("Emit ran an invalid program")
 			}
 		})
 	}
@@ -181,7 +200,7 @@ func TestScanSegmentsNeverCallees(t *testing.T) {
 					t.Fatalf("function %d block %d calls scan %d", fi, bi, b.Callee)
 				}
 			case TermIndirectCall:
-				for _, c := range b.Callees {
+				for _, c := range prog.CalleeSets[b.Callee] {
 					if scan[c] {
 						t.Fatalf("function %d block %d indirect-calls scan %d", fi, bi, c)
 					}

@@ -95,7 +95,8 @@ const (
 	funcAlign     = uint64(64)
 )
 
-// Generate synthesizes the program for a profile deterministically.
+// Generate synthesizes the program for a profile deterministically. It
+// does not validate the program: NewExecutor validates every program it runs.
 func Generate(p Profile) (*Program, error) {
 	if p.ScanLenMul == 0 {
 		p.ScanLenMul = 3
@@ -145,11 +146,11 @@ func Generate(p Profile) (*Program, error) {
 		var next uint64
 		switch {
 		case fi < nUtil:
-			f, next = genUtilityFunction(p, r, fi, addr)
+			f, next = genUtilityFunction(p, r, addr)
 		case fi < nUtil+nScan:
-			f, next = genScanFunction(p, r, fi, addr)
+			f, next = genScanFunction(p, r, addr)
 		default:
-			f, next = genFunction(p, r, fi, addr)
+			f, next = genFunction(p, r, prog, fi, addr)
 		}
 		prog.Funcs = append(prog.Funcs, f)
 		addr = next
@@ -162,15 +163,12 @@ func Generate(p Profile) (*Program, error) {
 	}
 
 	prog.Phases = genPhases(p, r, prog.Funcs)
-	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("workload: generated program invalid: %w", err)
-	}
 	return prog, nil
 }
 
-// genFunction builds one function starting at addr and returns it with
-// the next free (aligned) address.
-func genFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) {
+// genFunction builds function fi at addr, adding its indirect call sets
+// to prog, and returns it with the next free (aligned) address.
+func genFunction(p Profile, r *rng, prog *Program, fi int, addr uint64) (Function, uint64) {
 	nMain := r.rangeInt(p.BlocksMin, p.BlocksMax)
 	nCold := int(float64(nMain) * p.ColdFrac)
 	blocks := make([]Block, nMain+nCold)
@@ -255,7 +253,8 @@ func genFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) {
 					callees[i] = calleeFor(p, r, fi)
 				}
 				blocks[bi].Term = TermIndirectCall
-				blocks[bi].Callees = callees
+				blocks[bi].Callee = len(prog.CalleeSets)
+				prog.CalleeSets = append(prog.CalleeSets, callees)
 			} else {
 				blocks[bi].Term = TermCall
 				blocks[bi].Callee = calleeFor(p, r, fi)
@@ -285,13 +284,17 @@ func genFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) {
 		}
 	}
 
-	// Lay out addresses.
+	return Function{Blocks: blocks}, layout(blocks, addr)
+}
+
+// layout assigns consecutive addresses to blocks from addr and returns
+// the next free function-aligned address.
+func layout(blocks []Block, addr uint64) uint64 {
 	for bi := range blocks {
 		blocks[bi].Addr = addr
 		addr += uint64(blocks[bi].Instrs) * InstrBytes
 	}
-	addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
-	return Function{Name: fmt.Sprintf("f%04d", fi), Blocks: blocks}, addr
+	return (addr + funcAlign - 1) &^ (funcAlign - 1)
 }
 
 // segments returns the sizes of the utility and scan segments of the
@@ -318,7 +321,7 @@ func utilityFor(p Profile, r *rng) int {
 // calls, an optional tight loop. Utilities are entered from many caller
 // contexts; their reuse fate depends on who called them, which is what
 // path-history prediction can see and PC-only prediction cannot.
-func genUtilityFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) {
+func genUtilityFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
 	n := r.rangeInt(3, 6)
 	blocks := make([]Block, n)
 	for bi := range blocks {
@@ -331,12 +334,7 @@ func genUtilityFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint6
 		blocks[n-2].Target = n - 3
 		blocks[n-2].TripCount = r.rangeInt(2, 6)
 	}
-	for bi := range blocks {
-		blocks[bi].Addr = addr
-		addr += uint64(blocks[bi].Instrs) * InstrBytes
-	}
-	addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
-	return Function{Name: fmt.Sprintf("util%04d", fi), Blocks: blocks}, addr
+	return Function{Blocks: blocks}, layout(blocks, addr)
 }
 
 // calleeFor picks a callee: often a leaf utility, otherwise a nearby
@@ -381,7 +379,7 @@ func calleeFor(p Profile, r *rng, fi int) int {
 // be re-entered along that path soon, while the same utility entered
 // from a hot caller is about to be reused — the caller-context pattern
 // that distinguishes path-history prediction from PC-only prediction.
-func genScanFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) {
+func genScanFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
 	n := r.rangeInt(p.BlocksMin, p.BlocksMax) * p.ScanLenMul
 	blocks := make([]Block, n)
 	for bi := range blocks {
@@ -416,12 +414,7 @@ func genScanFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) 
 		}
 	}
 	blocks[n-1].Term = TermReturn
-	for bi := range blocks {
-		blocks[bi].Addr = addr
-		addr += uint64(blocks[bi].Instrs) * InstrBytes
-	}
-	addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
-	return Function{Name: fmt.Sprintf("scan%04d", fi), Blocks: blocks, Scan: true}, addr
+	return Function{Blocks: blocks, Scan: true}, layout(blocks, addr)
 }
 
 // genInitFunction builds the straight-line one-shot init function.
@@ -434,12 +427,9 @@ func genInitFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
 	for bi := range blocks {
 		blocks[bi].Instrs = r.rangeInt(p.InstrsMin, p.InstrsMax)
 		blocks[bi].Term = TermFall
-		blocks[bi].Addr = addr
-		addr += uint64(blocks[bi].Instrs) * InstrBytes
 	}
 	blocks[n-1].Term = TermReturn
-	addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
-	return Function{Name: "init", Blocks: blocks}, addr
+	return Function{Blocks: blocks}, layout(blocks, addr)
 }
 
 // genPhases builds the phase schedule: each phase works over a distinct
@@ -452,10 +442,17 @@ func genPhases(p Profile, r *rng, funcs []Function) []Phase {
 		k = p.Funcs
 	}
 	nUtil, nScan := p.segments()
+	// A flattened Zipf, shared by every phase, keeps hot functions without
+	// letting the head monopolize execution: the tail must recur often
+	// enough to create real capacity pressure.
+	zipf := make([]float64, k+nScan)
+	for i := range zipf {
+		zipf[i] = 1.0 / math.Pow(float64(i+1), p.ZipfTheta)
+	}
+	seen := make([]bool, p.Funcs)
 	var prev []int
 	for pi := range phases {
 		fset := make([]int, 0, k+nScan)
-		seen := make(map[int]bool, k)
 		// Scans are global services (GC passes, log flushes): every
 		// phase can reach them.
 		for si := nUtil; si < nUtil+nScan; si++ {
@@ -480,16 +477,14 @@ func genPhases(p Profile, r *rng, funcs []Function) []Phase {
 			}
 		}
 		weights := make([]float64, len(fset))
-		for i := range weights {
-			// A flattened Zipf keeps hot functions without letting the
-			// head monopolize execution: the tail must recur often
-			// enough to create real capacity pressure.
-			weights[i] = 1.0 / math.Pow(float64(i+1), p.ZipfTheta)
+		for i, f := range fset {
+			seen[f] = false // reset for the next phase
+			weights[i] = zipf[i]
 			// Scans are flush events (GC passes, log flushes, table
 			// walks): large but infrequent. Their weight is absolute —
 			// independent of popularity rank — so the flush frequency is
 			// controlled by ScanWeight alone.
-			if funcs[fset[i]].Scan {
+			if funcs[f].Scan {
 				weights[i] = p.ScanWeight
 			}
 		}

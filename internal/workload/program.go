@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"ghrpsim/internal/trace"
 )
@@ -29,13 +30,14 @@ const (
 	TermJump
 	// TermCall calls function Callee, resuming at the next block.
 	TermCall
-	// TermIndirectCall calls one of Callees, chosen per execution.
+	// TermIndirectCall calls one of CalleeSets[Callee], chosen per execution.
 	TermIndirectCall
 	// TermReturn returns to the caller.
 	TermReturn
 )
 
-// Block is one basic block: Instrs instructions ending in Term.
+// Block is one basic block: Instrs instructions ending in Term. It is
+// pointer-free, so the garbage collector never scans block arrays.
 type Block struct {
 	Addr   uint64
 	Instrs int
@@ -44,10 +46,8 @@ type Block struct {
 	Target int
 	// Bias is the taken probability for TermCond.
 	Bias float64
-	// Callee is the program function index for TermCall.
+	// Callee is the function index (TermCall) or CalleeSets index (TermIndirectCall).
 	Callee int
-	// Callees are the candidate function indices for TermIndirectCall.
-	Callees []int
 	// TripCount, when positive, makes a TermCond backward branch behave
 	// as a counted loop: taken TripCount times, then not taken once.
 	TripCount int
@@ -62,7 +62,6 @@ func (b *Block) LastPC() uint64 {
 // Function is a contiguous sequence of blocks; entry is block 0 and
 // execution leaves through a TermReturn block.
 type Function struct {
-	Name   string
 	Blocks []Block
 	// Scan marks a straight-line scan function: the dispatcher never
 	// bursts scans (a log pass or table walk does not immediately
@@ -86,6 +85,9 @@ type Program struct {
 	Name     string
 	Category trace.Category
 	Funcs    []Function
+	// CalleeSets are the candidate function indices of the indirect call
+	// sites; a TermIndirectCall block's Callee indexes it.
+	CalleeSets [][]int
 	// InitFunc indexes the one-shot initialization function, or -1.
 	InitFunc int
 	// Phases is the dispatcher's phase schedule.
@@ -103,6 +105,16 @@ type Program struct {
 func (p *Program) Validate() error {
 	if len(p.Funcs) == 0 {
 		return fmt.Errorf("workload: program %q has no functions", p.Name)
+	}
+	for si, cs := range p.CalleeSets {
+		if len(cs) == 0 {
+			return fmt.Errorf("workload: callee set %d is empty", si)
+		}
+		for _, c := range cs {
+			if c < 0 || c >= len(p.Funcs) {
+				return fmt.Errorf("workload: callee set %d function %d out of range", si, c)
+			}
+		}
 	}
 	for fi := range p.Funcs {
 		f := &p.Funcs[fi]
@@ -124,24 +136,19 @@ func (p *Program) Validate() error {
 				if b.Target < 0 || b.Target >= len(f.Blocks) {
 					return fmt.Errorf("workload: function %d block %d target %d out of range", fi, bi, b.Target)
 				}
-			case TermCall:
-				if b.Callee < 0 || b.Callee >= len(p.Funcs) {
+				if b.TripCount > math.MaxInt32 {
+					return fmt.Errorf("workload: function %d block %d trip count %d exceeds int32", fi, bi, b.TripCount)
+				}
+			case TermCall, TermIndirectCall:
+				n := len(p.Funcs)
+				if b.Term == TermIndirectCall {
+					n = len(p.CalleeSets)
+				}
+				if b.Callee < 0 || b.Callee >= n {
 					return fmt.Errorf("workload: function %d block %d callee %d out of range", fi, bi, b.Callee)
 				}
 				if bi == len(f.Blocks)-1 {
 					return fmt.Errorf("workload: function %d ends with a call and no return block", fi)
-				}
-			case TermIndirectCall:
-				if len(b.Callees) == 0 {
-					return fmt.Errorf("workload: function %d block %d has no indirect callees", fi, bi)
-				}
-				for _, c := range b.Callees {
-					if c < 0 || c >= len(p.Funcs) {
-						return fmt.Errorf("workload: function %d block %d callee %d out of range", fi, bi, c)
-					}
-				}
-				if bi == len(f.Blocks)-1 {
-					return fmt.Errorf("workload: function %d ends with an indirect call and no return block", fi)
 				}
 			case TermReturn:
 				hasReturn = true

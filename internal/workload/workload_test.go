@@ -1,6 +1,12 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -90,15 +96,184 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.CodeBytes() != b.CodeBytes() || a.StaticBranches() != b.StaticBranches() {
+	if !reflect.DeepEqual(a, b) {
 		t.Error("same seed produced different programs")
 	}
 	c, err := Generate(tinyProfile(43))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.CodeBytes() == c.CodeBytes() && a.StaticBranches() == c.StaticBranches() {
-		t.Log("warning: different seeds produced structurally identical programs")
+	if reflect.DeepEqual(a, c) {
+		t.Error("different seeds produced identical programs")
+	}
+}
+
+// programGoldenSHA and streamGoldenSHA pin program synthesis and
+// execution bit for bit: the first hashes every fixed-suite program in
+// a layout-independent form (see hashProgram), the second the record
+// streams of a spread of suite programs. A change to how programs are
+// stored or executed must leave both unchanged; a deliberate change to
+// what is synthesized or emitted regenerates them with:
+//
+//	go test ./internal/workload/ -run 'TestProgramGolden|TestStreamGolden' -v
+const (
+	programGoldenSHA = "198452a83b8d6a7031d7b14509c04c3d4c50f0b581c6919b0ab8b6e542012e31"
+	streamGoldenSHA  = "75e4432549aa9c5f58d9621c7ecd0e8ceb0bf5b00d2f1ee7fc44a17e496b5137"
+)
+
+// wordHash feeds fixed-width little-endian words into a SHA-256.
+type wordHash struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newWordHash() *wordHash { return &wordHash{h: sha256.New()} }
+
+func (w *wordHash) word(v uint64) {
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	if len(w.buf) >= 1<<16 {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+}
+
+func (w *wordHash) int(v int) { w.word(uint64(v)) }
+
+func (w *wordHash) bool(v bool) {
+	if v {
+		w.word(1)
+	} else {
+		w.word(0)
+	}
+}
+
+func (w *wordHash) sum() string {
+	w.h.Write(w.buf)
+	w.buf = w.buf[:0]
+	return fmt.Sprintf("%x", w.h.Sum(nil))
+}
+
+// callees returns the candidate callees of a call block as function
+// indices (nil for any other terminator). It is the one place the
+// golden hash depends on how call targets are stored.
+func callees(p *Program, b *Block) []int {
+	switch b.Term {
+	case TermCall:
+		return []int{b.Callee}
+	case TermIndirectCall:
+		return p.CalleeSets[b.Callee]
+	}
+	return nil
+}
+
+// hashProgram feeds everything synthesis decides about a program into w,
+// except names.
+func hashProgram(w *wordHash, p *Program) {
+	w.int(int(p.Category))
+	w.int(p.InitFunc)
+	w.word(p.DispatchAddr)
+	w.bool(p.DispatchIndirect)
+	w.int(p.BurstMin)
+	w.int(p.BurstMax)
+	w.int(len(p.Funcs))
+	for fi := range p.Funcs {
+		f := &p.Funcs[fi]
+		w.bool(f.Scan)
+		w.int(len(f.Blocks))
+		for bi := range f.Blocks {
+			b := &f.Blocks[bi]
+			w.word(b.Addr)
+			w.int(b.Instrs)
+			w.int(int(b.Term))
+			w.int(b.Target)
+			w.word(math.Float64bits(b.Bias))
+			w.int(b.TripCount)
+			cs := callees(p, b)
+			w.int(len(cs))
+			for _, c := range cs {
+				w.int(c)
+			}
+		}
+	}
+	w.int(len(p.Phases))
+	for _, ph := range p.Phases {
+		w.int(len(ph.Funcs))
+		for i, f := range ph.Funcs {
+			w.int(f)
+			w.word(math.Float64bits(ph.Weights[i]))
+		}
+	}
+}
+
+func TestProgramGolden(t *testing.T) {
+	w := newWordHash()
+	for _, s := range Suite() {
+		prog, err := s.Generate()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		hashProgram(w, prog)
+	}
+	got := w.sum()
+	t.Logf("program SHA-256: %s", got)
+	if got != programGoldenSHA {
+		t.Errorf("suite programs changed:\n got  %s\n want %s", got, programGoldenSHA)
+	}
+}
+
+func TestStreamGolden(t *testing.T) {
+	const seed, target = 7, 40_000
+	w := newWordHash()
+	for _, s := range SuiteN(32) {
+		prog, err := s.Generate()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		n, err := Emit(prog, seed, target, func(r trace.Record) error {
+			w.word(r.PC)
+			w.word(r.Target)
+			w.int(int(r.Type))
+			w.bool(r.Taken)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		w.word(n)
+	}
+	got := w.sum()
+	t.Logf("stream SHA-256: %s", got)
+	if got != streamGoldenSHA {
+		t.Errorf("record streams changed:\n got  %s\n want %s", got, streamGoldenSHA)
+	}
+}
+
+// TestGeneratedProgramsValid is the generator's structural self-check:
+// Generate does not validate its own output (NewExecutor validates every
+// program it runs), so every fixed-suite program and a window of a
+// default generated suite, covering every category, must validate here.
+func TestGeneratedProgramsValid(t *testing.T) {
+	check := func(s Spec) {
+		prog, err := s.Generate()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if err := prog.Validate(); err != nil {
+			t.Fatalf("%s: generated program invalid: %v", s.Name, err)
+		}
+	}
+	for _, s := range Suite() {
+		check(s)
+	}
+	gen := SuiteGen{N: 256}
+	cats := map[trace.Category]bool{}
+	for i := 0; i < gen.Len(); i++ {
+		s := gen.At(i)
+		cats[s.Category] = true
+		check(s)
+	}
+	if len(cats) != 4 {
+		t.Errorf("generated window covers %d categories, want 4", len(cats))
 	}
 }
 
@@ -225,7 +400,6 @@ func TestCountedLoopTripCount(t *testing.T) {
 		InitFunc:     -1,
 		DispatchAddr: codeBase,
 		Funcs: []Function{{
-			Name: "f",
 			Blocks: []Block{
 				{Addr: 0x401000, Instrs: 4, Term: TermFall},
 				{Addr: 0x401010, Instrs: 4, Term: TermCond, Target: 1, TripCount: 5},
