@@ -5,7 +5,7 @@ GO ?= go
 # session: make fuzz-smoke FUZZTIME=5m
 FUZZTIME ?= 3s
 
-.PHONY: build vet fmt-check lint lint-baseline test race-smoke fault-smoke fuzz-smoke golden-update bench bench-dist bench-smoke perfbench-smoke daemon-smoke dist-smoke dist-scale-smoke ci
+.PHONY: build vet fmt-check lint lint-baseline test race-smoke fault-smoke fuzz-smoke golden-update bench bench-dist bench-smoke perfbench-smoke perfbench-test daemon-smoke dist-smoke dist-scale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -109,6 +109,14 @@ bench-smoke:
 perfbench-smoke:
 	bash perfbench/run.sh --workload paper-suite --seed 9001 --seconds 2 --trace 0
 
+# perfbench-test vets and tests the benchmark module. It is a separate
+# module, so the root `go test ./...` skips it, yet it compiles against
+# the frontend and sim APIs and holds the benchmark's digest and
+# perturbation tests, which perfbench-smoke's single run never reaches.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # daemon-smoke builds and starts ghrpd on an ephemeral port, submits one
 # tiny run over real HTTP, follows its SSE stream to completion, fetches
 # the result and figures, and drains cleanly — the build-start-serve-
@@ -137,4 +145,4 @@ dist-scale-smoke:
 	$(GO) build -o bin/ghrpd ./cmd/ghrpd
 	$(GO) run ./cmd/ghrpdist -scale-smoke -worker-cmd ./bin/ghrpd
 
-ci: build vet fmt-check lint test race-smoke fuzz-smoke bench-smoke perfbench-smoke daemon-smoke dist-smoke dist-scale-smoke
+ci: build vet fmt-check lint test race-smoke fuzz-smoke bench-smoke perfbench-smoke perfbench-test daemon-smoke dist-smoke dist-scale-smoke

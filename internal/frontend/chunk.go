@@ -57,8 +57,8 @@ type decRec struct {
 type decChunk struct {
 	recs     []decRec
 	accesses []blockAccess
-	// refs counts the workers still due to replay this chunk on the
-	// parallel path (fanlog.go); the serial path leaves it at zero.
+	// refs counts the pipeline workers still due to replay this chunk
+	// (fanlog.go); an inline replay leaves it at zero.
 	refs atomic.Int32
 }
 
@@ -98,8 +98,7 @@ func (ch *decChunk) push(d *stepDecisions) {
 	ch.recs = append(ch.recs, r)
 }
 
-func (ch *decChunk) full() bool  { return len(ch.recs) >= chunkRecords }
-func (ch *decChunk) empty() bool { return len(ch.recs) == 0 }
+func (ch *decChunk) full() bool { return len(ch.recs) >= chunkRecords }
 
 func (ch *decChunk) reset() {
 	ch.recs = ch.recs[:0]

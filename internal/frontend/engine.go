@@ -562,11 +562,11 @@ func (e *Engine) Process(r trace.Record) {
 	stepRecord(e.front, e.lanes, r)
 }
 
-// stepRecord advances the front and every lane by one branch record. The
-// single-policy Engine and the multi-policy FanOut both funnel through
-// it, so the two paths cannot drift apart. It runs once per record and
-// must stay allocation-free (TestFanOutProcessZeroAllocs pins the dynamic count;
-// the hotalloc analyzer pins the constructs statically).
+// stepRecord advances the front and every lane by one branch record:
+// Engine's record-major step, the reference the chunked fan-out replay
+// (chunk.go) is compared against. It runs once per record and must
+// stay allocation-free (TestEngineProcessZeroAllocs pins the dynamic
+// count; the hotalloc analyzer pins the constructs statically).
 //
 //ghrp:hotpath
 func stepRecord(f *front, lanes []lane, r trace.Record) {

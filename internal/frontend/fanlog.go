@@ -3,18 +3,17 @@ package frontend
 import (
 	"sync"
 
-	"ghrpsim/internal/trace"
 	"ghrpsim/internal/workload"
 )
 
-// Checkpoint-log parallel fan-out. The serial StreamProgram already
-// factors a record stream into policy-independent decision chunks
-// (chunk.go); here the same chunks become the communication log of a
-// producer/worker pipeline. One goroutine runs the workload interpreter
-// and the front — the only stateful, order-sensitive part — and
-// publishes each filled chunk to every worker. Workers own disjoint
+// Checkpoint-log parallel fan-out. StreamProgram factors a record
+// stream into policy-independent decision chunks (chunk.go); with more
+// than one worker the same chunks become the communication log of a
+// producer/worker pipeline. The calling goroutine runs the workload
+// interpreter and the front — the only stateful, order-sensitive part —
+// and publishes each filled chunk to every worker. Workers own disjoint
 // lane subsets and replay chunks strictly in publication order, so each
-// lane sees exactly the serial op sequence and results stay
+// lane sees exactly the inline replay's op sequence and results stay
 // bit-identical for any worker count; TestFanOutParallelMatchesSerial
 // pins that.
 //
@@ -30,101 +29,73 @@ import (
 // set past the point of diminishing returns.
 const poolChunks = 4
 
-// StreamProgramParallel is StreamProgram with lane replay spread over
-// up to workers goroutines. Worker counts of one or less (or a single
-// lane) fall back to the serial path. The returned results are
-// bit-identical to StreamProgram's regardless of worker count.
-func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) ([]Result, error) {
-	if workers > len(fo.lanes) {
-		workers = len(fo.lanes)
-	}
-	if workers <= 1 {
-		return fo.StreamProgram(prog, seed, target, opts)
-	}
+// lanePipeline is one replay's set of lane workers.
+type lanePipeline struct {
+	free   chan *decChunk
+	queues []chan *decChunk
+	wg     sync.WaitGroup
+}
 
-	free := make(chan *decChunk, poolChunks)
+// startPipeline starts workers goroutines, each replaying a contiguous
+// stripe of the FanOut's lanes. The caller must stop the pipeline
+// before it touches the lanes again.
+func (fo *FanOut) startPipeline(workers int) *lanePipeline {
+	p := &lanePipeline{
+		free:   make(chan *decChunk, poolChunks),
+		queues: make([]chan *decChunk, workers),
+	}
 	for _, ch := range fo.chunkPool(poolChunks) {
-		free <- ch
+		p.free <- ch
 	}
-	// Per-worker queues sized to the pool, so publishing never blocks on
-	// a queue: at most poolChunks chunks exist.
-	queues := make([]chan *decChunk, workers)
-	for w := range queues {
-		queues[w] = make(chan *decChunk, poolChunks)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	p.wg.Add(workers)
 	lo := 0
-	for w := 0; w < workers; w++ {
+	for w := range p.queues {
+		// Per-worker queues sized to the pool, so publishing never
+		// blocks on a queue: at most poolChunks chunks exist.
+		p.queues[w] = make(chan *decChunk, poolChunks)
 		hi := lo + len(fo.lanes)/workers
 		if w < len(fo.lanes)%workers {
 			hi++
 		}
-		go func(lanes []lane, in chan *decChunk) {
-			defer wg.Done()
-			for ch := range in {
-				for i := range lanes {
-					lanes[i].replay(ch)
-				}
-				if ch.refs.Add(-1) == 0 {
-					free <- ch
-				}
-			}
-		}(fo.lanes[lo:hi], queues[w])
+		go p.work(fo.lanes[lo:hi], p.queues[w])
 		lo = hi
 	}
+	return p
+}
 
-	publish := func(ch *decChunk) {
-		ch.refs.Store(int32(workers))
-		for _, q := range queues {
-			q <- ch
+// work replays every chunk published to in on lanes, returning each
+// chunk to the free list once its last worker is done with it.
+func (p *lanePipeline) work(lanes []lane, in <-chan *decChunk) {
+	defer p.wg.Done()
+	for ch := range in {
+		for i := range lanes {
+			lanes[i].replay(ch)
+		}
+		if ch.refs.Add(-1) == 0 {
+			p.free <- ch
 		}
 	}
+}
 
-	every := opts.ProgressEvery
-	if every == 0 {
-		every = DefaultProgressEvery
+// publish hands a filled chunk to every worker and returns an empty
+// chunk to fill next, blocking while all poolChunks are in flight.
+func (p *lanePipeline) publish(ch *decChunk) *decChunk {
+	ch.refs.Store(int32(len(p.queues)))
+	for _, q := range p.queues {
+		q <- ch
 	}
-	err := func() error {
-		// However the producer stops — stream done, aborted by Progress,
-		// or panicking — the workers drain every published chunk and exit
-		// before the FanOut is used again, so no goroutine is still
-		// replaying a lane when the caller reads results or resets it.
-		defer func() {
-			for _, q := range queues {
-				close(q)
-			}
-			wg.Wait()
-		}()
-		ch := <-free
-		ch.reset()
-		var n uint64
-		_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
-			fo.front.decide(r, &fo.front.dec)
-			ch.push(&fo.front.dec)
-			if ch.full() {
-				publish(ch)
-				ch = <-free
-				ch.reset()
-			}
-			if opts.Progress != nil {
-				n++
-				if n%every == 0 {
-					return opts.Progress(n, fo.front.instrs)
-				}
-			}
-			return nil
-		})
-		if err == nil && !ch.empty() {
-			publish(ch)
-		}
-		return err
-	}()
-	if err != nil {
-		return nil, err
+	next := <-p.free
+	next.reset()
+	return next
+}
+
+// stop lets the workers drain every published chunk and waits for them
+// to exit.
+func (p *lanePipeline) stop() {
+	for _, q := range p.queues {
+		close(q)
 	}
-	return fo.Results(), nil
+	p.wg.Wait()
 }
 
 // SimulateFanOutSplit is SimulateFanOut with intra-workload
@@ -136,5 +107,5 @@ func SimulateFanOutSplit(cfg Config, kinds []PolicyKind, prog *workload.Program,
 	if err != nil {
 		return nil, err
 	}
-	return fo.StreamProgramParallel(prog, seed, target, workers, opts)
+	return fo.StreamProgram(prog, seed, target, workers, opts)
 }

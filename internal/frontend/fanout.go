@@ -25,9 +25,8 @@ import (
 type FanOut struct {
 	front *front
 	lanes []lane
-	// chunks holds the decision chunks the streaming replays fill
-	// (chunk.go): the serial path uses the first, the parallel path up
-	// to poolChunks. They are allocated on first use and live as long
+	// chunks holds the decision chunks StreamProgram fills (chunk.go):
+	// an inline replay uses the first, a pipeline up to poolChunks. They are allocated on first use and live as long
 	// as the FanOut; every replay resets the chunks it takes.
 	chunks []*decChunk
 }
@@ -67,14 +66,6 @@ func (fo *FanOut) chunkPool(n int) []*decChunk {
 	return fo.chunks[:n]
 }
 
-// Process consumes one branch record, advancing every lane.
-func (fo *FanOut) Process(r trace.Record) {
-	stepRecord(fo.front, fo.lanes, r)
-}
-
-// Instructions returns total instructions processed so far.
-func (fo *FanOut) Instructions() uint64 { return fo.front.instrs }
-
 // Results snapshots the per-lane statistics, in the order the policy
 // kinds were given to NewFanOut.
 func (fo *FanOut) Results() []Result {
@@ -93,41 +84,65 @@ func (fo *FanOut) Results() []Result {
 // serialized into chunks (chunk.go) and each lane replays a whole chunk
 // per activation, which keeps one specialized replay body and one
 // lane's tables hot at a time instead of cycling through all of them
-// every record. The result is bit-identical to record-major Process
-// calls; TestFanOutMatchesPerPolicy and the chunking equivalence tests
+// every record. With workers of one or less (or a single lane) every
+// full chunk is replayed inline and no goroutine is started; above
+// that, lane replay is spread over up to workers goroutines
+// (fanlog.go). The result is bit-identical to record-major per-policy
+// replays at any worker count; TestFanOutMatchesPerPolicy,
+// TestFanOutParallelMatchesSerial and the chunking equivalence tests
 // pin that.
-func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, opts StreamOptions) ([]Result, error) {
-	every := opts.ProgressEvery
-	if every == 0 {
-		every = DefaultProgressEvery
+func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) ([]Result, error) {
+	if err := fo.stream(prog, seed, target, min(workers, len(fo.lanes)), opts); err != nil {
+		return nil, err
 	}
+	return fo.Results(), nil
+}
+
+// stream runs StreamProgram's replay. With a pipeline, its workers
+// have drained every published chunk and exited by the time stream
+// returns — normally, aborted by Progress, or panicking — so no
+// goroutine is still replaying a lane when the caller reads results or
+// resets the FanOut.
+func (fo *FanOut) stream(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) error {
+	var p *lanePipeline
 	ch := fo.chunkPool(1)[0]
+	if workers > 1 {
+		p = fo.startPipeline(workers)
+		defer p.stop()
+		ch = <-p.free
+	}
 	ch.reset()
-	var n uint64
+	pace := newPacer(opts)
 	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
 		fo.front.decide(r, &fo.front.dec)
 		ch.push(&fo.front.dec)
 		if ch.full() {
-			for i := range fo.lanes {
-				fo.lanes[i].replay(ch)
-			}
-			ch.reset()
+			ch = fo.flush(p, ch)
 		}
-		if opts.Progress != nil {
-			n++
-			if n%every == 0 {
-				return opts.Progress(n, fo.front.instrs)
-			}
+		if pace.tick() {
+			return opts.Progress(pace.n, fo.front.instrs)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
+	}
+	fo.flush(p, ch)
+	return nil
+}
+
+// flush hands a chunk to every lane — replayed inline without a
+// pipeline, published to its workers with one — and returns the empty
+// chunk to fill next.
+func (fo *FanOut) flush(p *lanePipeline, ch *decChunk) *decChunk {
+	if p != nil {
+		return p.publish(ch)
 	}
 	for i := range fo.lanes {
 		fo.lanes[i].replay(ch)
 	}
-	return fo.Results(), nil
+	ch.reset()
+	return ch
 }
 
 // SimulateFanOut executes a workload program once and replays it under
@@ -135,9 +150,5 @@ func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, opt
 // Result per kind, each bit-identical to what SimulateProgramStream
 // would produce for that kind alone with the same warm-up limit.
 func SimulateFanOut(cfg Config, kinds []PolicyKind, prog *workload.Program, seed, target, warmupLimit uint64, opts StreamOptions) ([]Result, error) {
-	fo, err := NewFanOut(cfg, kinds, warmupLimit)
-	if err != nil {
-		return nil, err
-	}
-	return fo.StreamProgram(prog, seed, target, opts)
+	return SimulateFanOutSplit(cfg, kinds, prog, seed, target, warmupLimit, 1, opts)
 }

@@ -159,10 +159,11 @@ func TestFanOutResetMatchesFresh(t *testing.T) {
 
 	kinds := ExtendedPolicies()
 	stream := func(fo *FanOut, parallel bool, prog *workload.Program, target uint64, opts StreamOptions) ([]Result, error) {
+		workers := 1
 		if parallel {
-			return fo.StreamProgramParallel(prog, 1, target, 3, opts)
+			workers = 3
 		}
-		return fo.StreamProgram(prog, 1, target, opts)
+		return fo.StreamProgram(prog, 1, target, workers, opts)
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -22,6 +22,37 @@ type StreamOptions struct {
 	ProgressEvery uint64
 }
 
+// pacer paces one replay's StreamOptions.Progress callbacks. It sits
+// in every streaming replay's per-record body, so tick stays small
+// enough to inline.
+type pacer struct {
+	// n counts the records replayed; the next callback is due when it
+	// reaches due. Without a callback due stays 0, which n never
+	// returns to.
+	n, due, every uint64
+}
+
+func newPacer(opts StreamOptions) pacer {
+	p := pacer{every: opts.ProgressEvery}
+	if p.every == 0 {
+		p.every = DefaultProgressEvery
+	}
+	if opts.Progress != nil {
+		p.due = p.every
+	}
+	return p
+}
+
+// tick counts one replayed record and reports whether Progress is due.
+func (p *pacer) tick() bool {
+	p.n++
+	if p.n != p.due {
+		return false
+	}
+	p.due += p.every
+	return true
+}
+
 // CountInstructions walks a record slice with a fetch reconstructor and
 // returns the total instruction count it implies.
 func CountInstructions(recs []trace.Record, instrBytes, blockBytes uint64) (uint64, error) {
@@ -45,16 +76,12 @@ func CountProgram(cfg Config, prog *workload.Program, seed, target uint64, opts 
 	if err != nil {
 		return 0, 0, err
 	}
-	every := opts.ProgressEvery
-	if every == 0 {
-		every = DefaultProgressEvery
-	}
-	var total, n uint64
-	_, err = workload.Emit(prog, seed, target, func(r trace.Record) error {
+	pace := newPacer(opts)
+	var total uint64
+	n, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
 		total += f.Next(r, nil)
-		n++
-		if opts.Progress != nil && n%every == 0 {
-			return opts.Progress(n, total)
+		if pace.tick() {
+			return opts.Progress(pace.n, total)
 		}
 		return nil
 	})
@@ -84,18 +111,11 @@ func SimulateRecords(cfg Config, kind PolicyKind, recs []trace.Record) (Result, 
 // repeated streams replay the identical trace the buffered
 // GenerateRecords path would produce.
 func (e *Engine) StreamProgram(prog *workload.Program, seed, target uint64, opts StreamOptions) (Result, error) {
-	every := opts.ProgressEvery
-	if every == 0 {
-		every = DefaultProgressEvery
-	}
-	var n uint64
+	pace := newPacer(opts)
 	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
 		e.Process(r)
-		if opts.Progress != nil {
-			n++
-			if n%every == 0 {
-				return opts.Progress(n, e.front.instrs)
-			}
+		if pace.tick() {
+			return opts.Progress(pace.n, e.front.instrs)
 		}
 		return nil
 	})

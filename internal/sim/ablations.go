@@ -17,45 +17,49 @@ type AblationRow struct {
 	BTBMPKI    float64
 }
 
-// ghrpVariant runs the suite with only the GHRP policy under a modified
-// configuration and returns the mean MPKIs. The base options (including
-// any attached result cache) flow through unchanged, so ablation
-// variants whose mutation reproduces the paper-default configuration —
-// e.g. "3 tables (paper)" or "bypass-on (paper)" — reuse cells an
-// earlier run already simulated instead of replaying them.
-func ghrpVariant(ctx context.Context, base Options, name string, mutate func(*frontend.Config)) (AblationRow, error) {
+// variant is one named configuration change of an ablation study.
+type variant struct {
+	name   string
+	mutate func(*frontend.Config)
+}
+
+// runVariant runs the suite with base's configuration (the paper's when
+// unset) changed by mutate and, when kinds are given, with kinds as the
+// policies. The base options (including any attached result cache)
+// flow through unchanged, so variants whose mutation reproduces a
+// configuration an earlier run simulated — e.g. "3 tables (paper)" or
+// the paper-default sweep geometry — reuse its cells instead of
+// replaying them. On keep-going runs the measurements cover only
+// fully-completed workloads; error-free runs pass through unchanged.
+func runVariant(ctx context.Context, base Options, mutate func(*frontend.Config), kinds ...frontend.PolicyKind) (*Measurements, error) {
 	opts := base
 	if opts.Config.ICache == (frontend.ICacheConfig{}) {
 		opts.Config = frontend.DefaultConfig()
 	}
 	mutate(&opts.Config)
-	opts.Policies = []frontend.PolicyKind{frontend.PolicyGHRP}
+	if kinds != nil {
+		opts.Policies = kinds
+	}
 	m, err := RunContext(ctx, opts)
 	if err != nil {
-		return AblationRow{}, err
+		return nil, err
 	}
-	// On keep-going runs the means cover only fully-completed workloads;
-	// error-free runs pass through unchanged.
-	m = m.Completed()
-	return AblationRow{
-		Variant:    name,
-		ICacheMPKI: stats.Mean(m.ICacheMPKI[frontend.PolicyGHRP]),
-		BTBMPKI:    stats.Mean(m.BTBMPKI[frontend.PolicyGHRP]),
-	}, nil
+	return m.Completed(), nil
 }
 
-// runVariants evaluates a list of named configuration mutations.
-func runVariants(ctx context.Context, base Options, variants []struct {
-	name   string
-	mutate func(*frontend.Config)
-}) ([]AblationRow, error) {
+// runVariants evaluates each variant under the single policy kind.
+func runVariants(ctx context.Context, base Options, kind frontend.PolicyKind, variants []variant) ([]AblationRow, error) {
 	rows := make([]AblationRow, 0, len(variants))
 	for _, v := range variants {
-		row, err := ghrpVariant(ctx, base, v.name, v.mutate)
+		m, err := runVariant(ctx, base, v.mutate, kind)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		rows = append(rows, AblationRow{
+			Variant:    v.name,
+			ICacheMPKI: stats.Mean(m.ICacheMPKI[kind]),
+			BTBMPKI:    stats.Mean(m.BTBMPKI[kind]),
+		})
 	}
 	return rows, nil
 }
@@ -63,10 +67,7 @@ func runVariants(ctx context.Context, base Options, variants []struct {
 // AblationVote compares majority vote against SDBP-style summation
 // (§III-C's design argument).
 func AblationVote(ctx context.Context, base Options) ([]AblationRow, error) {
-	return runVariants(ctx, base, []struct {
-		name   string
-		mutate func(*frontend.Config)
-	}{
+	return runVariants(ctx, base, frontend.PolicyGHRP, []variant{
 		{"majority-vote", func(c *frontend.Config) { c.GHRP.Aggregation = core.MajorityVote }},
 		{"summation", func(c *frontend.Config) { c.GHRP.Aggregation = core.Summation }},
 	})
@@ -88,31 +89,21 @@ func AblationHistoryDepth(ctx context.Context, base Options) ([]AblationRow, err
 		{"depth-3", 12, 3},
 		{"depth-4 (paper)", 16, 3},
 	}
-	var variants []struct {
-		name   string
-		mutate func(*frontend.Config)
-	}
+	var variants []variant
 	for _, d := range depths {
-		d := d
-		variants = append(variants, struct {
-			name   string
-			mutate func(*frontend.Config)
-		}{d.name, func(c *frontend.Config) {
+		variants = append(variants, variant{d.name, func(c *frontend.Config) {
 			c.GHRP.HistoryBits = d.bits
 			if d.pcB == 0 {
 				c.GHRP.PCBitsPerAccess = -1 // PC-only signatures
 			}
 		}})
 	}
-	return runVariants(ctx, base, variants)
+	return runVariants(ctx, base, frontend.PolicyGHRP, variants)
 }
 
 // AblationBypass compares GHRP with and without the bypass optimization.
 func AblationBypass(ctx context.Context, base Options) ([]AblationRow, error) {
-	return runVariants(ctx, base, []struct {
-		name   string
-		mutate func(*frontend.Config)
-	}{
+	return runVariants(ctx, base, frontend.PolicyGHRP, []variant{
 		{"bypass-on (paper)", func(c *frontend.Config) { c.GHRP.DisableBypass = false }},
 		{"bypass-off", func(c *frontend.Config) { c.GHRP.DisableBypass = true }},
 	})
@@ -122,10 +113,7 @@ func AblationBypass(ctx context.Context, base Options) ([]AblationRow, error) {
 // modeled, pollution with history recovery (§III-F), and pollution
 // without recovery.
 func AblationSpeculation(ctx context.Context, base Options) ([]AblationRow, error) {
-	return runVariants(ctx, base, []struct {
-		name   string
-		mutate func(*frontend.Config)
-	}{
+	return runVariants(ctx, base, frontend.PolicyGHRP, []variant{
 		{"no-wrong-path", func(c *frontend.Config) { c.WrongPath = frontend.WrongPathOff }},
 		{"pollute+recover (paper)", func(c *frontend.Config) {
 			c.WrongPath = frontend.WrongPathInject
@@ -145,10 +133,7 @@ func AblationSpeculation(ctx context.Context, base Options) ([]AblationRow, erro
 // AblationTableCount compares a single prediction table against the
 // paper's three skewed tables.
 func AblationTableCount(ctx context.Context, base Options) ([]AblationRow, error) {
-	return runVariants(ctx, base, []struct {
-		name   string
-		mutate func(*frontend.Config)
-	}{
+	return runVariants(ctx, base, frontend.PolicyGHRP, []variant{
 		{"1 table", func(c *frontend.Config) { c.GHRP.NumTables = 1 }},
 		{"2 tables", func(c *frontend.Config) { c.GHRP.NumTables = 2 }},
 		{"3 tables (paper)", func(c *frontend.Config) { c.GHRP.NumTables = 3 }},
@@ -160,33 +145,16 @@ func AblationTableCount(ctx context.Context, base Options) ([]AblationRow, error
 // GHRP replacement — the prior-work direction the paper contrasts with
 // (§II-E).
 func AblationPrefetch(ctx context.Context, base Options) ([]AblationRow, error) {
-	rows := make([]AblationRow, 0, 4)
-	for _, v := range []struct {
-		name     string
-		kind     frontend.PolicyKind
-		prefetch bool
-	}{
-		{"LRU", frontend.PolicyLRU, false},
-		{"LRU + next-line", frontend.PolicyLRU, true},
-		{"GHRP", frontend.PolicyGHRP, false},
-		{"GHRP + next-line", frontend.PolicyGHRP, true},
-	} {
-		opts := base
-		if opts.Config.ICache == (frontend.ICacheConfig{}) {
-			opts.Config = frontend.DefaultConfig()
-		}
-		opts.Config.NextLinePrefetch = v.prefetch
-		opts.Policies = []frontend.PolicyKind{v.kind}
-		m, err := RunContext(ctx, opts)
+	var rows []AblationRow
+	for _, kind := range []frontend.PolicyKind{frontend.PolicyLRU, frontend.PolicyGHRP} {
+		r, err := runVariants(ctx, base, kind, []variant{
+			{kind.String(), func(c *frontend.Config) { c.NextLinePrefetch = false }},
+			{kind.String() + " + next-line", func(c *frontend.Config) { c.NextLinePrefetch = true }},
+		})
 		if err != nil {
 			return nil, err
 		}
-		m = m.Completed()
-		rows = append(rows, AblationRow{
-			Variant:    v.name,
-			ICacheMPKI: stats.Mean(m.ICacheMPKI[v.kind]),
-			BTBMPKI:    stats.Mean(m.BTBMPKI[v.kind]),
-		})
+		rows = append(rows, r...)
 	}
 	return rows, nil
 }

@@ -280,19 +280,10 @@ func Fig7Configs() []frontend.ICacheConfig {
 func RunSweep(ctx context.Context, base Options, configs []frontend.ICacheConfig) ([]SweepRow, error) {
 	rows := make([]SweepRow, 0, len(configs))
 	for _, ic := range configs {
-		opts := base
-		opts.Config = base.Config
-		if opts.Config.ICache == (frontend.ICacheConfig{}) {
-			opts.Config = frontend.DefaultConfig()
-		}
-		opts.Config.ICache = ic
-		m, err := RunContext(ctx, opts)
+		m, err := runVariant(ctx, base, func(c *frontend.Config) { c.ICache = ic })
 		if err != nil {
 			return nil, err
 		}
-		// On keep-going runs the means cover only fully-completed
-		// workloads; error-free runs pass through unchanged.
-		m = m.Completed()
 		row := SweepRow{Config: ic, Mean: map[frontend.PolicyKind]float64{}}
 		for _, k := range m.Policies {
 			row.Mean[k] = stats.Mean(m.ICacheMPKI[k])
@@ -502,18 +493,12 @@ type SamplingRow struct {
 func ComputeSampling(ctx context.Context, base Options, samplerSets []int) ([]SamplingRow, error) {
 	var rows []SamplingRow
 	for _, n := range samplerSets {
-		opts := base
-		if opts.Config.ICache == (frontend.ICacheConfig{}) {
-			opts.Config = frontend.DefaultConfig()
-		}
-		opts.Config.SDBP = policies.SDBPConfig{SamplerSets: n}
-		opts.Policies = []frontend.PolicyKind{frontend.PolicySDBP}
-		m, err := RunContext(ctx, opts)
+		m, err := runVariant(ctx, base, func(c *frontend.Config) { c.SDBP = policies.SDBPConfig{SamplerSets: n} },
+			frontend.PolicySDBP)
 		if err != nil {
 			return nil, err
 		}
-		m = m.Completed()
-		sets := opts.Config.ICache.Sets()
+		sets := m.Options.Config.ICache.Sets()
 		cov := 1.0
 		if n > 0 && n < sets {
 			cov = float64(n) / float64(sets)

@@ -1,7 +1,13 @@
 package sim
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -124,5 +130,76 @@ func TestGoldenRenderers(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { checkGolden(t, c.name, c.out) })
+	}
+}
+
+// experimentResultsSHA256 is the SHA-256 of every simulated number
+// TestExperimentResultsHash collects. It changes only when the
+// simulator's results change; a refactor of the experiment plumbing
+// must leave it as it is.
+const experimentResultsSHA256 = "7d75c2e5e773fcaaab520b6eae934ac1bf930f35a5de89585e9d1873d4085148"
+
+// TestExperimentResultsHash pins the simulated numbers behind the
+// variant experiments — the Fig. 7 sweep, every ablation, the Fig. 2
+// sampler study and the OPT headroom bound — which the renderer goldens
+// above do not reach (they render fabricated inputs). Each row's means
+// are hashed bit for bit, under the row's experiment and variant name.
+func TestExperimentResultsHash(t *testing.T) {
+	ctx := context.Background()
+	base := Options{Workloads: workload.SuiteN(4), Scale: 0.05}
+	h := sha256.New()
+	put := func(name string, xs ...float64) {
+		h.Write(append([]byte(name), 0))
+		for _, x := range xs {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+		}
+	}
+
+	sweep, err := RunSweep(ctx, base, Fig7Configs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sweep {
+		for _, k := range frontend.PaperPolicies() {
+			put("sweep/"+r.Config.String()+"/"+k.String(), r.Mean[k])
+		}
+	}
+	for _, a := range []struct {
+		name string
+		fn   func(context.Context, Options) ([]AblationRow, error)
+	}{
+		{"vote", AblationVote},
+		{"history", AblationHistoryDepth},
+		{"bypass", AblationBypass},
+		{"speculation", AblationSpeculation},
+		{"tables", AblationTableCount},
+		{"prefetch", AblationPrefetch},
+	} {
+		rows, err := a.fn(ctx, base)
+		if err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		for _, r := range rows {
+			put(a.name+"/"+r.Variant, r.ICacheMPKI, r.BTBMPKI)
+		}
+	}
+	sampling, err := ComputeSampling(ctx, base, []int{2, 8, 32, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sampling {
+		put(fmt.Sprintf("sampling/%d", r.SamplerSets), r.MeanMPKI, r.SignatureCoverage)
+	}
+	rep, err := ComputeHeadroom(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put("headroom", rep.LRUMean, rep.OPTMean, float64(rep.Included), float64(rep.Failed))
+	for _, r := range rep.Rows {
+		put("headroom/"+r.Policy.String(), r.MeanMPKI, r.GapClosed)
+	}
+
+	if got := hex.EncodeToString(h.Sum(nil)); got != experimentResultsSHA256 {
+		t.Errorf("experiment results hash %s, want %s: the simulated numbers changed", got, experimentResultsSHA256)
 	}
 }

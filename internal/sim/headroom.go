@@ -2,15 +2,15 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strings"
 
 	"ghrpsim/internal/frontend"
 	"ghrpsim/internal/opt"
-	"ghrpsim/internal/resultcache"
 	"ghrpsim/internal/stats"
-	"ghrpsim/internal/trace"
 	"ghrpsim/internal/workload"
 )
 
@@ -32,53 +32,55 @@ type HeadroomReport struct {
 	OPTMean  float64
 	Rows     []HeadroomRow
 	Included int // workloads with a positive LRU-to-OPT gap
-	// Failed counts workloads skipped on a keep-going run; the means
-	// cover only the workloads that completed.
+	// Failed counts workloads skipped on a keep-going run, whether the
+	// online policies or the OPT pass failed on them; the means cover
+	// only the workloads that completed both.
 	Failed int
 }
 
 // ComputeHeadroom runs the suite's I-cache under every policy plus the
 // OPT oracle. This is an extension beyond the paper's evaluation,
-// bounding how much of the achievable improvement GHRP captures. Unlike
-// RunContext, the OPT oracle needs the whole access stream at once, so
-// each workload's records are buffered (one workload at a time); the
-// context is checked between workloads and per-workload failures abort
-// the computation. The online-policy replays share the result cache
-// with RunContext when opts.Cache is set — the buffered replay is
-// bit-identical to the streaming one, so cells a main suite run already
-// simulated are loaded instead of replayed (the OPT pass itself is
-// never cached: its state is not a frontend.Result).
+// bounding how much of the achievable improvement GHRP captures. The
+// online policies are one RunContext run, with its parallelism, fused
+// lanes, result cache, retries and failure handling. The OPT oracle
+// needs the whole access stream at once, so a second pass buffers the
+// records of each workload that run completed (one workload at a time)
+// and replays them under OPT; it is never cached, since its state is
+// not a frontend.Result. The policies must include LRU, the baseline
+// the gap is measured from.
 //
-// Per-workload failures — including panics, which are contained to a
-// PanicError — abort the computation, or with Options.KeepGoing skip
+// A failure of either stage — including a panic, contained to a
+// PanicError — aborts the computation, or with Options.KeepGoing skips
 // the workload (counted in HeadroomReport.Failed) so one bad workload
 // cannot sink a long bound computation.
 func ComputeHeadroom(ctx context.Context, opts Options) (HeadroomReport, error) {
-	opts, err := opts.prepare()
+	if len(opts.Policies) > 0 && !slices.Contains(opts.Policies, frontend.PolicyLRU) {
+		return HeadroomReport{}, errors.New("sim: headroom needs the LRU baseline, which Options.Policies lacks")
+	}
+	all, err := RunContext(ctx, opts)
 	if err != nil {
 		return HeadroomReport{}, err
 	}
+	m := all.Completed()
+	failed := len(all.Specs) - len(m.Specs)
 	var lruV, optV []float64
 	polV := map[frontend.PolicyKind][]float64{}
-	failed := 0
-
-	for wi := 0; wi < opts.Source.Len(); wi++ {
+	for wi, spec := range m.Specs {
 		if err := ctx.Err(); err != nil {
 			return HeadroomReport{}, err
 		}
-		spec := opts.Source.At(wi)
-		lru, optMPKI, pol, err := headroomWorkload(opts, spec)
+		optMPKI, err := headroomOPT(m.Options, spec)
 		if err != nil {
-			if opts.KeepGoing {
+			if m.Options.KeepGoing {
 				failed++
 				continue
 			}
 			return HeadroomReport{}, fmt.Errorf("sim: workload %s: %w", spec.Name, err)
 		}
-		lruV = append(lruV, lru)
+		lruV = append(lruV, m.ICacheMPKI[frontend.PolicyLRU][wi])
 		optV = append(optV, optMPKI)
-		for _, k := range opts.Policies {
-			polV[k] = append(polV[k], pol[k])
+		for _, k := range m.Policies {
+			polV[k] = append(polV[k], m.ICacheMPKI[k][wi])
 		}
 	}
 
@@ -95,7 +97,7 @@ func ComputeHeadroom(ctx context.Context, opts Options) (HeadroomReport, error) 
 		}
 	}
 	rep.Included = cnt
-	for _, k := range opts.Policies {
+	for _, k := range m.Policies {
 		row := HeadroomRow{Policy: k, MeanMPKI: stats.Mean(polV[k])}
 		var polSum float64
 		for wi := range lruV {
@@ -109,96 +111,38 @@ func ComputeHeadroom(ctx context.Context, opts Options) (HeadroomReport, error) 
 	return rep, nil
 }
 
-// headroomWorkload computes one workload's LRU, OPT and per-policy
-// I-cache MPKI values. A panic anywhere in the workload's generation,
-// replay or OPT pass is contained to a PanicError.
-func headroomWorkload(opts Options, spec workload.Spec) (lru, optMPKI float64, pol map[frontend.PolicyKind]float64, err error) {
+// headroomOPT computes one workload's I-cache MPKI under OPT on the
+// access stream the online policies saw, fetch-buffer coalescing and
+// warm-up window included. A panic anywhere in the workload's
+// generation or OPT pass is contained to a PanicError.
+func headroomOPT(opts Options, spec workload.Spec) (mpki float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
-	recs, err := specRecords(opts, spec)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	// Count the stream once and share the warm-up window across
-	// policies instead of re-counting inside SimulateRecords per
-	// policy.
-	total, err := frontend.CountInstructions(recs, opts.Config.InstrBytes, uint64(opts.Config.ICache.BlockBytes))
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	warm := opts.Config.WarmupFor(total)
-	target := targetFor(spec, opts.Scale)
-	pol = map[frontend.PolicyKind]float64{}
-	for _, k := range opts.Policies {
-		res, err := headroomPolicyResult(opts, spec, k, target, warm, recs)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		pol[k] = res.ICacheMPKI()
-		if k == frontend.PolicyLRU {
-			lru = res.ICacheMPKI()
-		}
-	}
-	blocks, total, err := frontend.BlockStream(recs, opts.Config)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	warm = opts.Config.WarmupFor(total)
-	skip, err := frontend.AccessIndexAt(recs, opts.Config, warm)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	ost, err := opt.Simulate(blocks, opts.Config.ICache.Sets(), opts.Config.ICache.Ways, skip)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return lru, ost.MPKI(total - warm), pol, nil
-}
-
-// headroomPolicyResult produces one (workload, policy) cell for the
-// headroom report, consulting and filling the result cache when one is
-// attached. The buffered e.Run replay over the same stream and warm-up
-// window is bit-identical to RunContext's streaming replay, so the two
-// entry points share cache entries.
-func headroomPolicyResult(opts Options, spec workload.Spec, k frontend.PolicyKind, target, warm uint64, recs []trace.Record) (frontend.Result, error) {
-	var key resultcache.Key
-	if opts.Cache != nil {
-		var err error
-		key, err = resultcache.KeyFor(spec, opts.Config, k, opts.ExecSeed, target)
-		if err != nil {
-			return frontend.Result{}, err
-		}
-		if res, ok := opts.Cache.Get(key); ok && res.Policy == k {
-			return res, nil
-		}
-	}
-	e, err := frontend.NewEngine(opts.Config, k, warm)
-	if err != nil {
-		return frontend.Result{}, err
-	}
-	res := e.Run(recs)
-	if opts.Cache != nil {
-		if err := opts.Cache.Put(key, res); err != nil {
-			return frontend.Result{}, err
-		}
-	}
-	return res, nil
-}
-
-// specRecords generates one workload's record stream per the run options.
-func specRecords(opts Options, spec workload.Spec) ([]trace.Record, error) {
 	prog, err := spec.Generate()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	recs, err := frontend.GenerateRecords(prog, opts.ExecSeed, targetFor(spec, opts.Scale))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return recs, nil
+	blocks, total, err := frontend.BlockStream(recs, opts.Config)
+	if err != nil {
+		return 0, err
+	}
+	warm := opts.Config.WarmupFor(total)
+	skip, err := frontend.AccessIndexAt(recs, opts.Config, warm)
+	if err != nil {
+		return 0, err
+	}
+	ost, err := opt.Simulate(blocks, opts.Config.ICache.Sets(), opts.Config.ICache.Ways, skip)
+	if err != nil {
+		return 0, err
+	}
+	return ost.MPKI(total - warm), nil
 }
 
 // Render prints the headroom table.

@@ -61,8 +61,9 @@ type Options struct {
 	// costs policy work, not extra executor passes. When the suite has
 	// fewer workloads than Parallelism, the surplus is spent inside each
 	// task: lane replay splits across Parallelism/tasks goroutines
-	// (FanOut.StreamProgramParallel), so a few long workloads still use
-	// the whole machine. Results are bit-identical at any setting.
+	// (the workers argument of FanOut.StreamProgram), so a few long
+	// workloads still use the whole machine. Results are bit-identical
+	// at any setting.
 	// Defaults to GOMAXPROCS.
 	Parallelism int
 	// ExecSeed seeds workload execution (fixed across policies so every
@@ -292,7 +293,7 @@ type runState struct {
 	// laneWorkers is the per-task lane-replay width: the parallelism
 	// left over after one worker per workload has been provisioned.
 	// Above one, fused replays split lane replay across goroutines
-	// (FanOut.StreamProgramParallel).
+	// (FanOut.StreamProgram's workers).
 	laneWorkers int
 }
 
@@ -725,7 +726,7 @@ func (r *runState) runTask(ctx context.Context, t task, ls *laneSet) error {
 	if err != nil {
 		return err
 	}
-	results, err := fo.StreamProgramParallel(st.prog, opts.ExecSeed, target, r.laneWorkers, so)
+	results, err := fo.StreamProgram(st.prog, opts.ExecSeed, target, r.laneWorkers, so)
 	if err != nil {
 		return w.fault(err)
 	}

@@ -237,9 +237,9 @@ func TestHeadroomSharesCache(t *testing.T) {
 	}
 }
 
-// The interop holds in the other direction too: result entries written
-// by the buffered headroom path must be hit by the fused scheduler, so
-// a headroom-first workflow never replays cells the bound computation
+// The interop holds in the other direction too: result entries the
+// headroom computation writes must be hit by a later suite run, so a
+// headroom-first workflow never replays cells the bound computation
 // already simulated.
 func TestRunReusesHeadroomCache(t *testing.T) {
 	cache, err := resultcache.Open(t.TempDir())

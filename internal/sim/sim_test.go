@@ -362,6 +362,16 @@ func TestHeadroomExperiment(t *testing.T) {
 	}
 }
 
+// The OPT gap is measured from LRU, so a policy set without it must be
+// refused rather than reported against a zero baseline.
+func TestHeadroomNeedsLRU(t *testing.T) {
+	opts := Options{Workloads: workload.SuiteN(2), Scale: 0.02, Policies: []frontend.PolicyKind{frontend.PolicyGHRP}}
+	rep, err := ComputeHeadroom(context.Background(), opts)
+	if err == nil || !strings.Contains(err.Error(), "LRU") {
+		t.Fatalf("headroom without LRU: report %+v, error %v; want an error naming the LRU baseline", rep, err)
+	}
+}
+
 func TestAblationPrefetch(t *testing.T) {
 	rows, err := AblationPrefetch(context.Background(), Options{Workloads: workload.SuiteN(3), Scale: 0.05})
 	if err != nil {
