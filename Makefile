@@ -81,7 +81,9 @@ golden-update:
 # roster size because policies add lane work, not executor passes).
 # bench-smoke runs the same comparison on a tiny suite to stdout only —
 # including one matrix/repeat pass — so CI exercises the harness
-# without overwriting the committed numbers.
+# without overwriting the committed numbers. It also runs the program
+# synthesis and executor set-up benchmarks once each, so they keep
+# compiling and running.
 bench:
 	$(GO) run ./cmd/bench -n 24 -scale 0.3 -repeat 3 -matrix -out BENCH_PR6.json
 
@@ -100,6 +102,7 @@ bench-dist:
 bench-smoke:
 	$(GO) run ./cmd/bench -n 2 -scale 0.02 -repeat 2
 	$(GO) run ./cmd/bench -n 2 -scale 0.015 -matrix
+	$(GO) test -run '^$$' -bench 'Generate|NewExecutor' -benchtime 1x ./internal/workload
 
 # perfbench-smoke runs the repository benchmark's paper-suite workload
 # briefly at a seed other than the default. Every pass is checked cell

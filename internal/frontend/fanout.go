@@ -91,8 +91,8 @@ func (fo *FanOut) Results() []Result {
 // replays at any worker count; TestFanOutMatchesPerPolicy,
 // TestFanOutParallelMatchesSerial and the chunking equivalence tests
 // pin that.
-func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) ([]Result, error) {
-	if err := fo.stream(prog, seed, target, min(workers, len(fo.lanes)), opts); err != nil {
+func (fo *FanOut) StreamProgram(src Stream, seed, target uint64, workers int, opts StreamOptions) ([]Result, error) {
+	if err := fo.stream(src, seed, target, min(workers, len(fo.lanes)), opts); err != nil {
 		return nil, err
 	}
 	return fo.Results(), nil
@@ -103,7 +103,7 @@ func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, wor
 // returns — normally, aborted by Progress, or panicking — so no
 // goroutine is still replaying a lane when the caller reads results or
 // resets the FanOut.
-func (fo *FanOut) stream(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) error {
+func (fo *FanOut) stream(src Stream, seed, target uint64, workers int, opts StreamOptions) error {
 	var p *lanePipeline
 	ch := fo.chunkPool(1)[0]
 	if workers > 1 {
@@ -113,7 +113,7 @@ func (fo *FanOut) stream(prog *workload.Program, seed, target uint64, workers in
 	}
 	ch.reset()
 	pace := newPacer(opts)
-	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
+	_, err := src.Emit(seed, target, func(r trace.Record) error {
 		fo.front.decide(r, &fo.front.dec)
 		ch.push(&fo.front.dec)
 		if ch.full() {

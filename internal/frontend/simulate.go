@@ -22,6 +22,20 @@ type StreamOptions struct {
 	ProgressEvery uint64
 }
 
+// Stream is a deterministic branch-record stream. Emit runs it for
+// about target instructions under seed, writing every record to sink,
+// and returns how many records it wrote; a sink error aborts the run
+// and is returned. Equal (seed, target) arguments give identical
+// streams on every call.
+//
+// *workload.Program implements Stream with a freshly built, validated
+// executor per call; *workload.Executor implements it by resetting
+// itself, so a caller that emits one program several times — a counting
+// pass, then a replay — validates it once.
+type Stream interface {
+	Emit(seed, target uint64, sink func(trace.Record) error) (records uint64, err error)
+}
+
 // pacer paces one replay's StreamOptions.Progress callbacks. It sits
 // in every streaming replay's per-record body, so tick stays small
 // enough to inline.
@@ -71,14 +85,14 @@ func CountInstructions(recs []trace.Record, instrBytes, blockBytes uint64) (uint
 // fetch reconstructor without buffering it, returning the total
 // instruction and record counts — the streaming equivalent of
 // GenerateRecords followed by CountInstructions.
-func CountProgram(cfg Config, prog *workload.Program, seed, target uint64, opts StreamOptions) (instrs, records uint64, err error) {
+func CountProgram(cfg Config, src Stream, seed, target uint64, opts StreamOptions) (instrs, records uint64, err error) {
 	f, err := trace.NewFetcher(cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
 	if err != nil {
 		return 0, 0, err
 	}
 	pace := newPacer(opts)
 	var total uint64
-	n, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
+	n, err := src.Emit(seed, target, func(r trace.Record) error {
 		total += f.Next(r, nil)
 		if pace.tick() {
 			return opts.Progress(pace.n, total)
@@ -110,9 +124,9 @@ func SimulateRecords(cfg Config, kind PolicyKind, recs []trace.Record) (Result, 
 // workload.Emit is deterministic for a (program, seed, target) triple,
 // repeated streams replay the identical trace the buffered
 // GenerateRecords path would produce.
-func (e *Engine) StreamProgram(prog *workload.Program, seed, target uint64, opts StreamOptions) (Result, error) {
+func (e *Engine) StreamProgram(src Stream, seed, target uint64, opts StreamOptions) (Result, error) {
 	pace := newPacer(opts)
-	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
+	_, err := src.Emit(seed, target, func(r trace.Record) error {
 		e.Process(r)
 		if pace.tick() {
 			return opts.Progress(pace.n, e.front.instrs)

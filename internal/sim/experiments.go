@@ -430,13 +430,17 @@ type HeatmapResult struct {
 // configuration and renders the selected structure's efficiency matrix.
 // The paper uses a 16KB 8-way I-cache (Fig. 1) and a 256-entry 8-way BTB
 // (Fig. 5). The workload's stream is re-emitted per policy rather than
-// buffered.
+// buffered, every time by one executor.
 func ComputeHeatmaps(cfg frontend.Config, st Structure, spec workload.Spec, instrs uint64, kinds []frontend.PolicyKind, rows, colWidth int) ([]HeatmapResult, error) {
 	prog, err := spec.Generate()
 	if err != nil {
 		return nil, err
 	}
-	total, _, err := frontend.CountProgram(cfg, prog, 1, instrs, frontend.StreamOptions{})
+	exec, err := workload.NewExecutor(prog, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	total, _, err := frontend.CountProgram(cfg, exec, 1, instrs, frontend.StreamOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +450,7 @@ func ComputeHeatmaps(cfg frontend.Config, st Structure, spec workload.Spec, inst
 		if err != nil {
 			return nil, err
 		}
-		if _, err := e.StreamProgram(prog, 1, instrs, frontend.StreamOptions{}); err != nil {
+		if _, err := e.StreamProgram(exec, 1, instrs, frontend.StreamOptions{}); err != nil {
 			return nil, err
 		}
 		var eff [][]float64

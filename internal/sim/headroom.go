@@ -65,11 +65,12 @@ func ComputeHeadroom(ctx context.Context, opts Options) (HeadroomReport, error) 
 	failed := len(all.Specs) - len(m.Specs)
 	var lruV, optV []float64
 	polV := map[frontend.PolicyKind][]float64{}
+	var prog workload.Program // every OPT workload is generated into it
 	for wi, spec := range m.Specs {
 		if err := ctx.Err(); err != nil {
 			return HeadroomReport{}, err
 		}
-		optMPKI, err := headroomOPT(m.Options, spec)
+		optMPKI, err := headroomOPT(m.Options, spec, &prog)
 		if err != nil {
 			if m.Options.KeepGoing {
 				failed++
@@ -113,16 +114,16 @@ func ComputeHeadroom(ctx context.Context, opts Options) (HeadroomReport, error) 
 
 // headroomOPT computes one workload's I-cache MPKI under OPT on the
 // access stream the online policies saw, fetch-buffer coalescing and
-// warm-up window included. A panic anywhere in the workload's
-// generation or OPT pass is contained to a PanicError.
-func headroomOPT(opts Options, spec workload.Spec) (mpki float64, err error) {
+// warm-up window included. The program is generated into prog, reusing
+// its memory. A panic anywhere in the workload's generation or OPT pass
+// is contained to a PanicError.
+func headroomOPT(opts Options, spec workload.Spec, prog *workload.Program) (mpki float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
-	prog, err := spec.Generate()
-	if err != nil {
+	if err := spec.GenerateInto(prog); err != nil {
 		return 0, err
 	}
 	recs, err := frontend.GenerateRecords(prog, opts.ExecSeed, targetFor(spec, opts.Scale))

@@ -273,13 +273,15 @@ type task struct{ wi int }
 
 // wlState is one workload's scheduler state. A workload is a single
 // task owned by one worker at a time, so the fields need no locking;
-// they persist across that task's retry attempts (the program and
+// they persist across that task's retry attempts (the executor and
 // warm-up window survive a transient replay failure, and started keeps
-// WorkloadStart from re-firing).
+// WorkloadStart from re-firing). A task's attempts all run on one
+// worker, so the executor's program, which that worker's laneSet owns,
+// stays intact until the task retires.
 type wlState struct {
 	start   time.Time
 	started bool
-	prog    *workload.Program
+	exec    *workload.Executor
 	warm    uint64
 }
 
@@ -300,11 +302,14 @@ type runState struct {
 // laneSet is one scheduler worker's simulator, reused across the tasks
 // the worker runs: a paper-roster FanOut is about 1.5 MB of lanes and
 // decision chunks, and for the suite's short workloads building it and
-// collecting it cost more than the replay itself. Only the worker's
-// goroutine touches it.
+// collecting it cost more than the replay itself. The same holds for
+// the program each task generates, so the worker generates every
+// program into one Program and its arena. Only the worker's goroutine
+// touches it.
 type laneSet struct {
 	fo    *frontend.FanOut
 	kinds []frontend.PolicyKind
+	prog  workload.Program
 }
 
 // fanOut returns a FanOut for kinds in its freshly built state with
@@ -328,8 +333,10 @@ func (ls *laneSet) fanOut(cfg frontend.Config, kinds []frontend.PolicyKind, warm
 // RunContext simulates every workload under every policy. The schedule
 // is a queue of workload tasks drained by Options.Parallelism workers,
 // each owning one frontend.FanOut that it resets and reuses across its
-// tasks (rebuilt only when the set of uncached policies changes). Each
-// task executes its workload's program exactly once and feeds the
+// tasks (rebuilt only when the set of uncached policies changes) and
+// one workload.Program that every task generates into. Each task
+// builds one executor for its program, so the program is validated
+// once for the counting pre-pass and the replay, and it feeds the
 // record stream to every policy the result cache could not answer in
 // lockstep through that FanOut, so executor interpretation costs
 // 1× per workload instead of once per policy plus the counting
@@ -361,8 +368,8 @@ func RunContext(ctx context.Context, opts Options) (*Measurements, error) {
 		Options: opts,
 		// One Spec per workload is the runner's only per-suite
 		// materialization: it is the output index of the vectors below.
-		// Programs stay lazy — synthesized inside each task, released
-		// when it retires.
+		// Programs stay lazy — synthesized inside each task into its
+		// worker's reused Program.
 		Specs:      workload.Materialize(opts.Source),
 		Policies:   opts.Policies,
 		ICacheMPKI: map[frontend.PolicyKind][]float64{},
@@ -653,14 +660,19 @@ func (r *runState) runTask(ctx context.Context, t task, ls *laneSet) error {
 		return nil
 	}
 
-	// Prep: generate the program and derive the warm-up window. The
+	// Prep: generate the program into the worker's Program, build the
+	// one executor (and so the one validation) that both the counting
+	// pre-pass and the replay run on, and derive the warm-up window. The
 	// counting pre-pass is memoized in the result cache (the count
 	// depends only on the fetch geometry, so one entry serves every
 	// policy and sweep variant); prep state is kept only once the whole
 	// stage — count store included — succeeded, so a transient failure
 	// here retries side-effect free.
-	if st.prog == nil {
-		prog, err := spec.Generate()
+	if st.exec == nil {
+		if err := spec.GenerateInto(&ls.prog); err != nil {
+			return err
+		}
+		exec, err := workload.NewExecutor(&ls.prog, opts.ExecSeed, nil)
 		if err != nil {
 			return err
 		}
@@ -681,7 +693,7 @@ func (r *runState) runTask(ctx context.Context, t task, ls *laneSet) error {
 					return w.ctx.Err()
 				},
 			}
-			instrs, records, err := frontend.CountProgram(opts.Config, prog, opts.ExecSeed, target, counting)
+			instrs, records, err := frontend.CountProgram(opts.Config, exec, opts.ExecSeed, target, counting)
 			if err != nil {
 				return w.fault(err)
 			}
@@ -692,7 +704,7 @@ func (r *runState) runTask(ctx context.Context, t task, ls *laneSet) error {
 				}
 			}
 		}
-		st.prog, st.warm = prog, opts.Config.WarmupFor(counts.Instructions)
+		st.exec, st.warm = exec, opts.Config.WarmupFor(counts.Instructions)
 	}
 
 	// One fused traversal drives every missing cell. Progress ticks are
@@ -726,7 +738,7 @@ func (r *runState) runTask(ctx context.Context, t task, ls *laneSet) error {
 	if err != nil {
 		return err
 	}
-	results, err := fo.StreamProgram(st.prog, opts.ExecSeed, target, r.laneWorkers, so)
+	results, err := fo.StreamProgram(st.exec, opts.ExecSeed, target, r.laneWorkers, so)
 	if err != nil {
 		return w.fault(err)
 	}
@@ -770,13 +782,13 @@ func (r *runState) record(wi, pi int, res frontend.Result) {
 }
 
 // finishTask retires one workload: emits its completion event, releases
-// the program, and records the workload error (cancellations are
+// the executor, and records the workload error (cancellations are
 // reported once via ctx.Err() by RunContext, not once per aborted
 // workload — but they still emit a WorkloadFailed event so RunStats
 // does not under-report the suite).
 func (r *runState) finishTask(ctx context.Context, wi int, err error) {
 	st := &r.states[wi]
-	st.prog = nil // release for GC; this workload is done
+	st.exec = nil // release for GC; this workload is done
 	spec := r.out.Specs[wi]
 	n := len(r.out.Specs)
 	var elapsed time.Duration

@@ -38,20 +38,35 @@ func benchSpecs() []Spec {
 var benchProg *Program
 
 // BenchmarkGenerate measures program synthesis; one op generates every
-// benchSpecs program.
+// benchSpecs program. "fresh" builds each into a new Program
+// (Generate), "reused" into one Program it keeps (GenerateInto), the
+// way a suite worker does.
 func BenchmarkGenerate(b *testing.B) {
 	specs := benchSpecs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range specs {
-			p, err := s.Generate()
-			if err != nil {
-				b.Fatal(err)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, s := range specs {
+				p, err := s.Generate()
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchProg = p
 			}
-			benchProg = p
 		}
-	}
+	})
+	b.Run("reused", func(b *testing.B) {
+		var p Program
+		benchProg = &p
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, s := range specs {
+				if err := s.GenerateInto(&p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 var benchExec *Executor

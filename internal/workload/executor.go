@@ -26,9 +26,10 @@ const defaultTaskCap = 25_000
 // branch. Execution is deterministic for a given (program, seed).
 type Executor struct {
 	prog     *Program
-	rng      *rng
+	rng      rng
 	emit     func(trace.Record) error
 	instrs   uint64
+	records  uint64
 	target   uint64
 	burstMin int
 	burstMax int
@@ -43,13 +44,16 @@ type retAddr struct {
 	block int
 }
 
-// NewExecutor prepares an executor that will emit records through emit.
-// The emit callback may return an error to abort execution early.
+// NewExecutor validates p and prepares an executor that will emit
+// records through emit. The emit callback may return an error to abort
+// execution early; it may be nil when every run goes through Emit,
+// which brings its own sink. The executor reads p on every run, so p
+// must not change while the executor is in use.
 func NewExecutor(p *Program, seed uint64, emit func(trace.Record) error) (*Executor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	x := &Executor{prog: p, rng: newRNG(seed), emit: emit, burstMin: p.BurstMin, burstMax: p.BurstMax}
+	x := &Executor{prog: p, emit: emit, burstMin: p.BurstMin, burstMax: p.BurstMax}
 	if x.burstMin < 1 {
 		x.burstMin = 1
 	}
@@ -61,7 +65,24 @@ func NewExecutor(p *Program, seed uint64, emit func(trace.Record) error) (*Execu
 		x.blockOff[fi+1] = x.blockOff[fi] + len(p.Funcs[fi].Blocks)
 	}
 	x.tripUsed = make([]int32, x.blockOff[len(p.Funcs)])
+	x.stack = make([]retAddr, 0, maxCallDepth)
+	x.rng = *newRNG(seed)
 	return x, nil
+}
+
+// Emit resets the executor to the state NewExecutor leaves it in under
+// seed — rng, loop counters, call stack and counts — and runs it for
+// target instructions with records written to sink. A previous run,
+// complete or aborted mid-task by a sink error, leaves no trace in the
+// new one, so Emit yields the same stream as a fresh executor's without
+// validating the program again.
+func (x *Executor) Emit(seed, target uint64, sink func(trace.Record) error) (uint64, error) {
+	x.rng = *newRNG(seed)
+	x.emit = sink
+	x.instrs, x.records, x.target, x.err = 0, 0, 0, nil
+	clear(x.tripUsed) // every task starts on an empty call stack (exec)
+	err := x.Run(target)
+	return x.records, err
 }
 
 // Instructions returns how many instructions have been executed so far.
@@ -105,6 +126,7 @@ func (x *Executor) record(r trace.Record) bool {
 	if x.err != nil {
 		return false
 	}
+	x.records++
 	if err := x.emit(r); err != nil {
 		x.err = err
 		return false
@@ -175,7 +197,7 @@ func (x *Executor) exec(fn int, retTo uint64) bool {
 				return false
 			}
 			if taken {
-				curBlk = b.Target
+				curBlk = int(b.Target)
 			} else {
 				curBlk++
 			}
@@ -185,10 +207,10 @@ func (x *Executor) exec(fn int, retTo uint64) bool {
 			if !x.record(trace.Record{PC: pc, Target: tgt, Type: trace.UncondDirect, Taken: true}) {
 				return false
 			}
-			curBlk = b.Target
+			curBlk = int(b.Target)
 
 		case TermCall, TermIndirectCall:
-			callee := b.Callee
+			callee := int(b.Callee)
 			ctype := trace.DirectCall
 			if b.Term == TermIndirectCall {
 				cs := x.prog.CalleeSets[b.Callee]
@@ -227,7 +249,7 @@ func (x *Executor) exec(fn int, retTo uint64) bool {
 func (x *Executor) condTaken(fn, blk int, b *Block) bool {
 	if b.TripCount > 0 {
 		gi := x.blockOff[fn] + blk
-		if int(x.tripUsed[gi]) < b.TripCount {
+		if x.tripUsed[gi] < b.TripCount {
 			x.tripUsed[gi]++
 			return true
 		}
@@ -237,20 +259,16 @@ func (x *Executor) condTaken(fn, blk int, b *Block) bool {
 	return x.rng.float() < b.Bias
 }
 
-// Emit runs prog for target instructions and writes all records through
-// a trace.Writer-compatible sink, returning the record count.
+// Emit runs prog for target instructions on a freshly built, validated
+// executor and writes all records through a trace.Writer-compatible
+// sink, returning the record count.
 func Emit(p *Program, seed, target uint64, sink func(trace.Record) error) (records uint64, err error) {
-	x, err := NewExecutor(p, seed, func(r trace.Record) error {
-		records++
-		return sink(r)
-	})
+	x, err := NewExecutor(p, seed, sink)
 	if err != nil {
 		return 0, err
 	}
-	if err := x.Run(target); err != nil {
-		return records, err
-	}
-	return records, nil
+	err = x.Run(target)
+	return x.records, err
 }
 
 // emitCheckEvery is how many records pass between EmitContext's

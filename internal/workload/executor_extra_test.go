@@ -2,7 +2,6 @@ package workload
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"ghrpsim/internal/trace"
@@ -94,11 +93,6 @@ func TestProgramValidateRejections(t *testing.T) {
 			p.CalleeSets = [][]int{{0}}
 			p.Funcs[0].Blocks[0].Term = TermReturn
 		}},
-		{"trip count range", func(p *Program) {
-			p.Funcs[0].Blocks[0].Term = TermCond
-			p.Funcs[0].Blocks[0].Target = 0
-			p.Funcs[0].Blocks[0].TripCount = math.MaxInt32 + 1
-		}},
 		{"no return", func(p *Program) { p.Funcs[0].Blocks[1].Term = TermJump; p.Funcs[0].Blocks[1].Target = 0 }},
 		{"bad terminator", func(p *Program) { p.Funcs[0].Blocks[0].Term = TermKind(99) }},
 		{"init out of range", func(p *Program) { p.InitFunc = 5 }},
@@ -168,7 +162,7 @@ func TestTaskCapBoundsTasks(t *testing.T) {
 func TestUtilityForSingleFunction(t *testing.T) {
 	p := Profile{Funcs: 1, UtilityFrac: 0.15}
 	r := newRNG(1)
-	if got := utilityFor(p, r); got != 0 {
+	if got := utilityFor(&p, r); got != 0 {
 		t.Errorf("utilityFor = %d, want 0", got)
 	}
 }
@@ -196,7 +190,7 @@ func TestScanSegmentsNeverCallees(t *testing.T) {
 		for bi, b := range f.Blocks {
 			switch b.Term {
 			case TermCall:
-				if scan[b.Callee] {
+				if scan[int(b.Callee)] {
 					t.Fatalf("function %d block %d calls scan %d", fi, bi, b.Callee)
 				}
 			case TermIndirectCall:

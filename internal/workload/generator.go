@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ghrpsim/internal/trace"
 )
@@ -69,7 +70,11 @@ type Profile struct {
 	ScanWeight float64
 }
 
-// Validate rejects unusable profiles.
+// Validate rejects unusable profiles, among them any whose block
+// counts, instruction counts or trip counts could exceed math.MaxInt32:
+// Block stores them as int32, and a profile must never truncate.
+// Generate applies its defaults (ScanLenMul and the rest) before it
+// validates.
 func (p Profile) Validate() error {
 	if p.Funcs < 1 {
 		return fmt.Errorf("workload: profile %q needs at least one function", p.Name)
@@ -86,6 +91,31 @@ func (p Profile) Validate() error {
 	if p.TripMin < 1 || p.TripMax < p.TripMin {
 		return fmt.Errorf("workload: profile %q trip bounds [%d,%d] invalid", p.Name, p.TripMin, p.TripMax)
 	}
+	scanMul := p.ScanLenMul
+	if scanMul == 0 {
+		scanMul = defaultScanLenMul
+	}
+	if scanMul < 1 {
+		return fmt.Errorf("workload: profile %q scan length multiplier %d invalid", p.Name, p.ScanLenMul)
+	}
+	// Block indices (targets, cold blocks past the main chain included),
+	// the callee-set count, instruction counts and trip counts are all
+	// stored as int32.
+	const lim = math.MaxInt32
+	switch {
+	case p.InstrsMax > lim:
+		return fmt.Errorf("workload: profile %q instrs max %d exceeds int32", p.Name, p.InstrsMax)
+	case p.TripMax > lim:
+		return fmt.Errorf("workload: profile %q trip max %d exceeds int32", p.Name, p.TripMax)
+	case float64(p.BlocksMax)*(1+max(p.ColdFrac, 0)) > lim:
+		return fmt.Errorf("workload: profile %q blocks max %d with cold fraction %g exceeds int32", p.Name, p.BlocksMax, p.ColdFrac)
+	case p.Funcs > lim/p.BlocksMax:
+		return fmt.Errorf("workload: profile %q has %d functions of up to %d blocks, exceeding int32", p.Name, p.Funcs, p.BlocksMax)
+	case p.BlocksMax > lim/scanMul:
+		return fmt.Errorf("workload: profile %q scan length %d x %d exceeds int32", p.Name, p.BlocksMax, scanMul)
+	case p.InitBlocks > lim:
+		return fmt.Errorf("workload: profile %q init blocks %d exceed int32", p.Name, p.InitBlocks)
+	}
 	return nil
 }
 
@@ -95,11 +125,30 @@ const (
 	funcAlign     = uint64(64)
 )
 
-// Generate synthesizes the program for a profile deterministically. It
-// does not validate the program: NewExecutor validates every program it runs.
+// defaultScanLenMul is Profile.ScanLenMul's default.
+const defaultScanLenMul = 3
+
+// Generate synthesizes the program for a profile deterministically into
+// a fresh Program. It does not validate the program: NewExecutor
+// validates every program it runs.
 func Generate(p Profile) (*Program, error) {
+	prog := new(Program)
+	if err := GenerateInto(prog, p); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// GenerateInto synthesizes the program for a profile into prog,
+// replacing all of its content; the result is identical to Generate's.
+// Block arrays and indirect callee sets are carved from memory prog
+// keeps from its previous generation (arena.go), so a Program that is
+// generated again and again allocates little beyond its phase tables.
+// Slices of prog's previous content must not be used afterwards. On a
+// profile error prog is left unchanged.
+func GenerateInto(prog *Program, p Profile) error {
 	if p.ScanLenMul == 0 {
-		p.ScanLenMul = 3
+		p.ScanLenMul = defaultScanLenMul
 	}
 	if p.BurstMin == 0 {
 		p.BurstMin = 1
@@ -117,64 +166,77 @@ func Generate(p Profile) (*Program, error) {
 		p.UtilityFrac = 0.15
 	}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	r := newRNG(p.Seed)
-	prog := &Program{
+	nTotal := p.Funcs
+	if p.InitBlocks > 0 {
+		nTotal++
+	}
+	// Dropping the old functions' block slices lets an array of the
+	// previous program's that no chunk holds be collected.
+	clear(prog.Funcs)
+	prog.arena.reset()
+	*prog = Program{
 		Name:             p.Name,
 		Category:         p.Category,
+		Funcs:            slices.Grow(prog.Funcs[:0], nTotal),
+		CalleeSets:       prog.arena.sets[:0],
 		InitFunc:         -1,
 		DispatchAddr:     codeBase,
 		DispatchIndirect: p.DispatchIndirect,
 		BurstMin:         p.BurstMin,
 		BurstMax:         p.BurstMax,
+		arena:            prog.arena,
 	}
+	a := &prog.arena
 
 	addr := codeBase + dispatchBytes
-	nTotal := p.Funcs
-	if p.InitBlocks > 0 {
-		nTotal++
-	}
 	// Function index space is segmented: leaf utilities first, then
 	// scan functions, then regular functions. Call sites target
 	// utilities and regular functions only; scans are reached through
 	// the dispatcher as whole tasks.
-	prog.Funcs = make([]Function, 0, nTotal)
 	nUtil, nScan := p.segments()
 	for fi := 0; fi < p.Funcs; fi++ {
 		var f Function
 		var next uint64
 		switch {
 		case fi < nUtil:
-			f, next = genUtilityFunction(p, r, addr)
+			f, next = genUtilityFunction(&p, r, a, addr)
 		case fi < nUtil+nScan:
-			f, next = genScanFunction(p, r, addr)
+			f, next = genScanFunction(&p, r, a, addr)
 		default:
-			f, next = genFunction(p, r, prog, fi, addr)
+			f, next = genFunction(&p, r, prog, fi, addr)
 		}
 		prog.Funcs = append(prog.Funcs, f)
 		addr = next
 	}
 	if p.InitBlocks > 0 {
-		f, next := genInitFunction(p, r, addr)
+		f, next := genInitFunction(&p, r, a, addr)
 		prog.InitFunc = len(prog.Funcs)
 		prog.Funcs = append(prog.Funcs, f)
 		addr = next
 	}
+	// The arena keeps the callee-set table's capacity; the program
+	// reports a table without sets as nil, as a fresh one would.
+	a.sets = prog.CalleeSets
+	if len(prog.CalleeSets) == 0 {
+		prog.CalleeSets = nil
+	}
 
-	prog.Phases = genPhases(p, r, prog.Funcs)
-	return prog, nil
+	prog.Phases = genPhases(&p, r, prog.Funcs)
+	return nil
 }
 
 // genFunction builds function fi at addr, adding its indirect call sets
 // to prog, and returns it with the next free (aligned) address.
-func genFunction(p Profile, r *rng, prog *Program, fi int, addr uint64) (Function, uint64) {
+func genFunction(p *Profile, r *rng, prog *Program, fi int, addr uint64) (Function, uint64) {
 	nMain := r.rangeInt(p.BlocksMin, p.BlocksMax)
 	nCold := int(float64(nMain) * p.ColdFrac)
-	blocks := make([]Block, nMain+nCold)
+	// Blocks come zeroed, so each starts as a TermFall.
+	blocks := prog.arena.blocks.take(nMain + nCold)
 	for bi := range blocks {
-		blocks[bi].Instrs = r.rangeInt(p.InstrsMin, p.InstrsMax)
-		blocks[bi].Term = TermFall
+		blocks[bi].Instrs = int32(r.rangeInt(p.InstrsMin, p.InstrsMax))
 	}
 	// The last main block returns; cold blocks come after it.
 	blocks[nMain-1].Term = TermReturn
@@ -194,8 +256,8 @@ func genFunction(p Profile, r *rng, prog *Program, fi int, addr uint64) (Functio
 				break
 			}
 			blocks[e].Term = TermCond
-			blocks[e].Target = h
-			blocks[e].TripCount = r.rangeInt(p.TripMin, p.TripMax)
+			blocks[e].Target = int32(h)
+			blocks[e].TripCount = int32(r.rangeInt(p.TripMin, p.TripMax))
 			lo = e + 1
 		}
 	}
@@ -217,23 +279,23 @@ func genFunction(p Profile, r *rng, prog *Program, fi int, addr uint64) (Functio
 			// functions exists in real layouts too).
 			for k := 0; k < chain; k++ {
 				blocks[nMain+c+k].Term = TermJump
-				blocks[nMain+c+k].Target = nMain - 1
-				blocks[nMain+c+k].Instrs = r.rangeInt(2, 4)
+				blocks[nMain+c+k].Target = int32(nMain - 1)
+				blocks[nMain+c+k].Instrs = int32(r.rangeInt(2, 4))
 			}
 			c += chain
 			continue
 		}
 		blocks[m].Term = TermCond
-		blocks[m].Target = nMain + c
+		blocks[m].Target = int32(nMain + c)
 		blocks[m].Bias = p.ColdBias
 		for k := 0; k < chain; k++ {
 			ci := nMain + c + k
-			blocks[ci].Instrs = r.rangeInt(2, 4)
+			blocks[ci].Instrs = int32(r.rangeInt(2, 4))
 			blocks[ci].Term = TermJump
 			if k+1 < chain {
-				blocks[ci].Target = ci + 1
+				blocks[ci].Target = int32(ci + 1)
 			} else {
-				blocks[ci].Target = m + 1
+				blocks[ci].Target = int32(m + 1)
 			}
 		}
 		c += chain
@@ -248,16 +310,16 @@ func genFunction(p Profile, r *rng, prog *Program, fi int, addr uint64) (Functio
 		case x < p.CallFrac:
 			if r.float() < p.IndirectFrac {
 				n := 2 + r.intn(6)
-				callees := make([]int, n)
+				callees := prog.arena.ints.take(n)
 				for i := range callees {
 					callees[i] = calleeFor(p, r, fi)
 				}
 				blocks[bi].Term = TermIndirectCall
-				blocks[bi].Callee = len(prog.CalleeSets)
+				blocks[bi].Callee = int32(len(prog.CalleeSets))
 				prog.CalleeSets = append(prog.CalleeSets, callees)
 			} else {
 				blocks[bi].Term = TermCall
-				blocks[bi].Callee = calleeFor(p, r, fi)
+				blocks[bi].Callee = int32(calleeFor(p, r, fi))
 			}
 		case x < p.CallFrac+p.CondFrac:
 			// Forward conditional skipping a few blocks (if/else shape).
@@ -267,7 +329,7 @@ func genFunction(p Profile, r *rng, prog *Program, fi int, addr uint64) (Functio
 			}
 			if maxSkip >= 1 {
 				blocks[bi].Term = TermCond
-				blocks[bi].Target = bi + r.rangeInt(1, maxSkip)
+				blocks[bi].Target = int32(bi + r.rangeInt(1, maxSkip))
 				// Real conditional branches are strongly biased (that is
 				// why direction predictors work); a mostly-one-way branch
 				// also keeps path signatures concentrated on the dominant
@@ -309,7 +371,7 @@ func (p Profile) segments() (nUtil, nScan int) {
 }
 
 // utilityFor picks a leaf utility function as a callee.
-func utilityFor(p Profile, r *rng) int {
+func utilityFor(p *Profile, r *rng) int {
 	nUtil, _ := p.segments()
 	if nUtil < 1 {
 		return 0
@@ -321,18 +383,17 @@ func utilityFor(p Profile, r *rng) int {
 // calls, an optional tight loop. Utilities are entered from many caller
 // contexts; their reuse fate depends on who called them, which is what
 // path-history prediction can see and PC-only prediction cannot.
-func genUtilityFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
+func genUtilityFunction(p *Profile, r *rng, a *arena, addr uint64) (Function, uint64) {
 	n := r.rangeInt(3, 6)
-	blocks := make([]Block, n)
+	blocks := a.blocks.take(n)
 	for bi := range blocks {
-		blocks[bi].Instrs = r.rangeInt(p.InstrsMin, p.InstrsMax)
-		blocks[bi].Term = TermFall
+		blocks[bi].Instrs = int32(r.rangeInt(p.InstrsMin, p.InstrsMax))
 	}
 	blocks[n-1].Term = TermReturn
 	if r.float() < 0.4 && n >= 3 {
 		blocks[n-2].Term = TermCond
-		blocks[n-2].Target = n - 3
-		blocks[n-2].TripCount = r.rangeInt(2, 6)
+		blocks[n-2].Target = int32(n - 3)
+		blocks[n-2].TripCount = int32(r.rangeInt(2, 6))
 	}
 	return Function{Blocks: blocks}, layout(blocks, addr)
 }
@@ -340,7 +401,7 @@ func genUtilityFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
 // calleeFor picks a callee: often a leaf utility, otherwise a nearby
 // regular function (spatial locality), occasionally any regular
 // function. Scans are never callees.
-func calleeFor(p Profile, r *rng, fi int) int {
+func calleeFor(p *Profile, r *rng, fi int) int {
 	if r.float() < 0.5 {
 		return utilityFor(p, r)
 	}
@@ -379,12 +440,11 @@ func calleeFor(p Profile, r *rng, fi int) int {
 // be re-entered along that path soon, while the same utility entered
 // from a hot caller is about to be reused — the caller-context pattern
 // that distinguishes path-history prediction from PC-only prediction.
-func genScanFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
+func genScanFunction(p *Profile, r *rng, a *arena, addr uint64) (Function, uint64) {
 	n := r.rangeInt(p.BlocksMin, p.BlocksMax) * p.ScanLenMul
-	blocks := make([]Block, n)
+	blocks := a.blocks.take(n)
 	for bi := range blocks {
-		blocks[bi].Instrs = r.rangeInt(p.InstrsMin, p.InstrsMax)
-		blocks[bi].Term = TermFall
+		blocks[bi].Instrs = int32(r.rangeInt(p.InstrsMin, p.InstrsMax))
 		if bi >= n-1 {
 			continue
 		}
@@ -395,10 +455,10 @@ func genScanFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
 		switch x := r.float(); {
 		case x < 0.02:
 			blocks[bi].Term = TermCall
-			blocks[bi].Callee = utilityFor(p, r)
+			blocks[bi].Callee = int32(utilityFor(p, r))
 		case x < 0.38:
 			blocks[bi].Term = TermJump
-			blocks[bi].Target = bi + 1
+			blocks[bi].Target = int32(bi + 1)
 		case x < 0.52:
 			// Near-deterministic conditionals: the walk takes the same
 			// path on almost every pass, so the path signatures of scan
@@ -409,7 +469,7 @@ func genScanFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
 			if max > n-1 {
 				max = n - 1
 			}
-			blocks[bi].Target = r.rangeInt(bi+1, max)
+			blocks[bi].Target = int32(r.rangeInt(bi+1, max))
 			blocks[bi].Bias = 0.98
 		}
 	}
@@ -418,15 +478,14 @@ func genScanFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
 }
 
 // genInitFunction builds the straight-line one-shot init function.
-func genInitFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
+func genInitFunction(p *Profile, r *rng, a *arena, addr uint64) (Function, uint64) {
 	n := p.InitBlocks
 	if n < 2 {
 		n = 2
 	}
-	blocks := make([]Block, n)
+	blocks := a.blocks.take(n)
 	for bi := range blocks {
-		blocks[bi].Instrs = r.rangeInt(p.InstrsMin, p.InstrsMax)
-		blocks[bi].Term = TermFall
+		blocks[bi].Instrs = int32(r.rangeInt(p.InstrsMin, p.InstrsMax))
 	}
 	blocks[n-1].Term = TermReturn
 	return Function{Blocks: blocks}, layout(blocks, addr)
@@ -435,7 +494,7 @@ func genInitFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
 // genPhases builds the phase schedule: each phase works over a distinct
 // (but overlapping) weighted subset of the functions, with Zipf-like
 // weights so every phase has hot and lukewarm functions.
-func genPhases(p Profile, r *rng, funcs []Function) []Phase {
+func genPhases(p *Profile, r *rng, funcs []Function) []Phase {
 	phases := make([]Phase, p.Phases)
 	k := p.PhaseFuncs
 	if k > p.Funcs {

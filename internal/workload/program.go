@@ -10,7 +10,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"ghrpsim/internal/trace"
 )
@@ -37,20 +36,22 @@ const (
 )
 
 // Block is one basic block: Instrs instructions ending in Term. It is
-// pointer-free, so the garbage collector never scans block arrays.
+// pointer-free, so the garbage collector never scans block arrays, and
+// 40 bytes: the 32-bit fields sit between the two 64-bit ones and Term
+// last. Profile.Validate bounds every generated value to int32.
 type Block struct {
-	Addr   uint64
-	Instrs int
-	Term   TermKind
-	// Target is the in-function block index for TermCond/TermJump.
-	Target int
+	Addr uint64
 	// Bias is the taken probability for TermCond.
-	Bias float64
+	Bias   float64
+	Instrs int32
+	// Target is the in-function block index for TermCond/TermJump.
+	Target int32
 	// Callee is the function index (TermCall) or CalleeSets index (TermIndirectCall).
-	Callee int
+	Callee int32
 	// TripCount, when positive, makes a TermCond backward branch behave
 	// as a counted loop: taken TripCount times, then not taken once.
-	TripCount int
+	TripCount int32
+	Term      TermKind
 }
 
 // LastPC returns the address of the block's final (terminator)
@@ -99,6 +100,18 @@ type Program struct {
 	// BurstMin/BurstMax bound how many consecutive times the dispatcher
 	// repeats one sampled function (see Profile). Values below 1 mean 1.
 	BurstMin, BurstMax int
+
+	// arena is the memory GenerateInto carves block arrays and callee
+	// sets from; it is reused when the Program is generated again.
+	arena arena
+}
+
+// Emit runs the program for about target instructions under seed and
+// writes every record to sink, on a freshly built, validated Executor
+// (the package-level Emit). Executor.Emit has the same signature, so
+// record consumers can take either.
+func (p *Program) Emit(seed, target uint64, sink func(trace.Record) error) (uint64, error) {
+	return Emit(p, seed, target, sink)
 }
 
 // Validate checks structural invariants of the program.
@@ -133,18 +146,15 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("workload: function %d falls off the end", fi)
 				}
 			case TermCond, TermJump:
-				if b.Target < 0 || b.Target >= len(f.Blocks) {
+				if b.Target < 0 || int(b.Target) >= len(f.Blocks) {
 					return fmt.Errorf("workload: function %d block %d target %d out of range", fi, bi, b.Target)
-				}
-				if b.TripCount > math.MaxInt32 {
-					return fmt.Errorf("workload: function %d block %d trip count %d exceeds int32", fi, bi, b.TripCount)
 				}
 			case TermCall, TermIndirectCall:
 				n := len(p.Funcs)
 				if b.Term == TermIndirectCall {
 					n = len(p.CalleeSets)
 				}
-				if b.Callee < 0 || b.Callee >= n {
+				if b.Callee < 0 || int(b.Callee) >= n {
 					return fmt.Errorf("workload: function %d block %d callee %d out of range", fi, bi, b.Callee)
 				}
 				if bi == len(f.Blocks)-1 {

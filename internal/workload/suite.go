@@ -37,6 +37,10 @@ type Spec struct {
 // Generate synthesizes the workload's program.
 func (s Spec) Generate() (*Program, error) { return Generate(s.Profile) }
 
+// GenerateInto synthesizes the workload's program into prog, reusing
+// prog's memory (see GenerateInto).
+func (s Spec) GenerateInto(prog *Program) error { return GenerateInto(prog, s.Profile) }
+
 // suiteSeed salts all per-workload parameter draws; changing it yields a
 // different (but still deterministic) suite.
 const suiteSeed = 0x5EED_CB05

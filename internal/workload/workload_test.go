@@ -60,6 +60,58 @@ func TestProfileValidate(t *testing.T) {
 	}
 }
 
+// Blocks store counts and indices as int32, so a profile whose values
+// could exceed math.MaxInt32 is rejected before anything is narrowed.
+// The trip-count case was a Program.Validate rejection while Block held
+// ints; an int32 field cannot hold the value any more.
+func TestProfileValidateRejectsInt32Overflow(t *testing.T) {
+	const over = math.MaxInt32 + 1
+	cases := []struct {
+		name   string
+		mutate func(*Profile)
+	}{
+		{"trip count range", func(p *Profile) { p.TripMax = over }},
+		{"instrs range", func(p *Profile) { p.InstrsMax = over }},
+		{"blocks range", func(p *Profile) { p.BlocksMax = over }},
+		{"cold blocks range", func(p *Profile) {
+			p.BlocksMax = math.MaxInt32 / 2
+			p.ColdFrac = 1.5
+		}},
+		{"function blocks range", func(p *Profile) {
+			p.Funcs = 1 << 20
+			p.BlocksMax = 1 << 12
+		}},
+		{"scan length range", func(p *Profile) {
+			p.BlocksMax = 1 << 20
+			p.ScanLenMul = 1 << 12
+		}},
+		{"default scan length range", func(p *Profile) {
+			p.Funcs = 1
+			p.BlocksMax = math.MaxInt32/3 + 1
+		}},
+		{"init blocks range", func(p *Profile) { p.InitBlocks = over }},
+		{"negative scan length", func(p *Profile) { p.ScanLenMul = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tinyProfile(1)
+			tc.mutate(&p)
+			if err := p.Validate(); err == nil {
+				t.Error("profile validated")
+			}
+			if _, err := Generate(p); err == nil {
+				t.Error("Generate accepted the profile")
+			}
+		})
+	}
+	// The largest values that fit are accepted.
+	p := tinyProfile(1)
+	p.TripMax, p.InstrsMax = math.MaxInt32, math.MaxInt32
+	if err := p.Validate(); err != nil {
+		t.Errorf("int32-sized trip and instruction bounds rejected: %v", err)
+	}
+}
+
 func TestGenerateStructure(t *testing.T) {
 	prog, err := Generate(tinyProfile(7))
 	if err != nil {
@@ -159,7 +211,7 @@ func (w *wordHash) sum() string {
 func callees(p *Program, b *Block) []int {
 	switch b.Term {
 	case TermCall:
-		return []int{b.Callee}
+		return []int{int(b.Callee)}
 	case TermIndirectCall:
 		return p.CalleeSets[b.Callee]
 	}
@@ -183,11 +235,11 @@ func hashProgram(w *wordHash, p *Program) {
 		for bi := range f.Blocks {
 			b := &f.Blocks[bi]
 			w.word(b.Addr)
-			w.int(b.Instrs)
+			w.int(int(b.Instrs))
 			w.int(int(b.Term))
-			w.int(b.Target)
+			w.int(int(b.Target))
 			w.word(math.Float64bits(b.Bias))
-			w.int(b.TripCount)
+			w.int(int(b.TripCount))
 			cs := callees(p, b)
 			w.int(len(cs))
 			for _, c := range cs {
